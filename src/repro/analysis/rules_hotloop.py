@@ -27,11 +27,7 @@ __all__ = ["HOT_REGIONS", "HotLoopPythonLoopRule", "HotLoopCopyRule", "HotLoopAl
 
 #: file (package-relative) -> {qualified function name -> "loop" | "body"}.
 HOT_REGIONS: Dict[str, Dict[str, str]] = {
-    "repro/runtime/skeleton.py": {
-        "IterativeRunner.run": "loop",
-        "IterativeRunner._stripe_loads": "body",
-        "IterativeRunner._build_context": "body",
-    },
+    # The one Algorithm 1 loop: solo runs are a batch of one.
     "repro/batch/runner.py": {
         "BatchRunner.run": "loop",
         "BatchRunner._stripe_loads": "body",

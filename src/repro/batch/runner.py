@@ -1,28 +1,32 @@
-"""The replica-batched execution engine.
+"""The Algorithm 1 engine: ``R`` seeded replicas in one vectorized pass.
 
 Campaigns and figure drivers average every curve over seeded repetitions:
 the same configuration runs ``R`` times with different seeds and only the
-replica-averaged trajectories reach the plots.  Before this engine each
-repetition re-ran the full Python hot loop; :class:`BatchRunner` runs all
-``R`` replicas in a *single* vectorized pass instead:
+replica-averaged trajectories reach the plots.  :class:`BatchRunner` runs
+all ``R`` replicas in a *single* vectorized pass, and it is the only
+implementation of the iteration loop: a solo run
+(:class:`~repro.runtime.skeleton.IterativeRunner`) is a batch of one on the
+caller's own cluster.
 
 * the per-PE state is one ``(R, P)``
   :class:`~repro.simcluster.pe.PEStateArrays` -- a compute phase is one
   matrix operation for every replica at once;
 * the ``R`` gossip boards live in one ``(R, P, P)``
   :class:`~repro.simcluster.gossip.BatchGossipBoard` with a stacked
-  per-round peer selection and a single grouped merge;
+  per-round peer selection and one freshest-version merge per replica;
 * the ``R * P`` WIR estimators update in one batched EMA
   (:class:`~repro.lb.wir.WIREstimateArray` with ``replicas=R``).
 
 Control flow that genuinely diverges per replica -- the LB trigger decision,
 the centralized LB step, partitions -- stays per-replica, running the
-*existing* solo components against NumPy row views of the shared state.
-That is what makes the engine exactly equivalent: replica ``r`` of a batch
-is bit-identical to a solo :class:`~repro.runtime.skeleton.IterativeRunner`
-run with seed ``seeds[r]`` (the equivalence guard in
-``tests/batch/test_batch_equivalence.py`` asserts it), while the shared
-per-iteration work no longer scales with ``R`` in Python-call terms.
+per-replica components (one :class:`~repro.simcluster.cluster.VirtualCluster`,
+load balancer, policy pair and :class:`~repro.lb.wir.WIRDatabase` view per
+replica) against NumPy row views of the shared state.  Replicas share no
+state, so replica ``r`` of a batch is bit-identical to a solo run with seed
+``seeds[r]`` by construction (``tests/batch/test_batch_equivalence.py`` and
+the randomized ``tests/batch/test_solo_batch_differential.py`` pin it), and
+the frozen loop of :mod:`repro.runtime.reference` plus the golden fixtures
+pin that the numbers are the historical ones.
 
 **Memory model.**  The dominant state of a dense-gossip batch is the
 ``(R, P, P)`` board -- 16 bytes per entry, so 16 replicas at ``P = 1024``
@@ -82,11 +86,14 @@ class BatchRunner:
         (typically the same scenario built for ``R`` different seeds).  All
         replicas must expose the same number of columns.
     seeds:
-        One gossip seed per replica; replica ``r`` consumes it exactly like
-        a solo runner constructed with ``seed=seeds[r]``.
+        One gossip seed (or ready generator) per replica; replica ``r``
+        consumes it exactly like a solo runner constructed with
+        ``seed=seeds[r]``.
     workload_policies / trigger_policies:
         Per-replica policy instances (policies carry state, so replicas must
-        not share them); ``None`` creates the solo runner's defaults.
+        not share them); ``None`` creates a
+        :class:`~repro.lb.standard.StandardPolicy` /
+        :class:`~repro.lb.adaptive.DegradationTrigger` per replica.
     initial_lb_cost_estimates:
         Per-replica LB-cost prior in seconds (or one scalar for all).
     pe_speed, cost_model, use_gossip, gossip_config, wir_smoothing,
@@ -106,9 +113,8 @@ class BatchRunner:
         Optional :class:`~repro.obs.profiler.StageProfiler` timing the
         named hot-loop stages (``compute_step`` / ``advance`` /
         ``stripe_sum`` / ``wir_update`` / ``gossip_round`` / ``lb_decide``
-        / ``lb_apply`` -- the same names the solo runner uses, so solo and
-        batch snapshots merge).  Chunked runs share one profiler across
-        every sub-batch.  ``None`` (default) disables all probes.
+        / ``lb_apply``).  Chunked runs share one profiler across every
+        sub-batch.  ``None`` (default) disables all probes.
     on_chunk:
         Optional callback ``(chunk, num_chunks, replicas, wall_time)``
         invoked after each completed sub-batch (once with ``(0, 1, R,
@@ -208,6 +214,10 @@ class BatchRunner:
         self._num_columns = num_columns
         self._profiler = profiler
         self._on_chunk = on_chunk
+        # Live per-iteration / per-LB-step observers of a solo run (set by
+        # _run_on; the IterativeRunner facade forwards its callbacks here).
+        self._on_iteration: Optional[Callable[[int, float], None]] = None
+        self._on_lb_step: Optional[Callable[[int, LBStepReport], None]] = None
 
         if memory_budget_bytes is not None:
             check_positive(memory_budget_bytes, "memory_budget_bytes")
@@ -280,6 +290,10 @@ class BatchRunner:
             )
             for r in range(replicas)
         ]
+        self.load_balancers = [
+            self._load_balancer(cluster, policy)
+            for cluster, policy in zip(self.clusters, self.workload_policies)
+        ]
         self.wir_db = BatchWIRDatabase(
             num_pes,
             self.seeds,
@@ -308,15 +322,6 @@ class BatchRunner:
                 self.initial_lb_cost_estimates, dtype=float
             )
         self._last_lb_arr = np.zeros(replicas, dtype=np.int64)
-        self.load_balancers: List[CentralizedLoadBalancer] = [
-            CentralizedLoadBalancer(
-                self.clusters[r],
-                self.workload_policies[r],
-                partition_flop_per_column=self._partition_flop_per_column,
-                bytes_per_load_unit=self._bytes_per_load_unit,
-            )
-            for r in range(replicas)
-        ]
         self.partitioner = StripePartitioner(num_pes)
         #: Current stripe partition of each replica (uniform until LB calls
         #: make them diverge).
@@ -331,8 +336,39 @@ class BatchRunner:
         self._cols_buf = np.empty((replicas, num_columns), dtype=float)
         self._concat_starts: Optional[np.ndarray] = None
         self._refresh_concat_starts()
-        self._last_lb_iteration = [0] * replicas
         self._total_iterations: Optional[int] = None
+
+    def _load_balancer(
+        self, cluster: VirtualCluster, policy: WorkloadPolicy
+    ) -> CentralizedLoadBalancer:
+        return CentralizedLoadBalancer(
+            cluster,
+            policy,
+            partition_flop_per_column=self._partition_flop_per_column,
+            bytes_per_load_unit=self._bytes_per_load_unit,
+        )
+
+    def _run_on(
+        self,
+        cluster: VirtualCluster,
+        *,
+        on_iteration: Optional[Callable[[int, float], None]] = None,
+        on_lb_step: Optional[Callable[[int, LBStepReport], None]] = None,
+    ) -> None:
+        """Run this one-replica batch on the caller's own ``cluster``.
+
+        Compute phases and LB steps then charge into ``cluster.state``
+        (through a ``(1, P)`` view) and the trace lands in
+        ``cluster.trace``, so repeated :meth:`run` calls keep advancing
+        that cluster.  ``on_lb_step(iteration, report)`` fires after every
+        LB step and ``on_iteration(iteration, elapsed)`` at the end of every
+        iteration, live.
+        """
+        self.state = cluster.state.batch_of_one()
+        self.clusters = [cluster]
+        self.load_balancers = [self._load_balancer(cluster, self.workload_policies[0])]
+        self._on_iteration = on_iteration
+        self._on_lb_step = on_lb_step
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -370,9 +406,9 @@ class BatchRunner:
     def _starts_of(partition: StripePartition) -> Optional[np.ndarray]:
         """reduceat start offsets of a partition, or None when degenerate.
 
-        Mirrors the solo runner's ``_stripe_loads`` fast/slow path split:
         ``None`` flags a partition with empty stripes, which ``reduceat``
-        mishandles and the prefix-sum fallback serves instead.
+        mishandles and the prefix-sum fallback of :meth:`_stripe_loads`
+        serves instead.
         """
         bounds = np.asarray(partition.partition.boundaries)
         starts = bounds[:-1]
@@ -381,7 +417,7 @@ class BatchRunner:
         return None
 
     def _stripe_loads(self, replica: int, column_loads: np.ndarray) -> np.ndarray:
-        """Per-stripe workload sums of one replica (solo-identical)."""
+        """Per-stripe workload sums of one replica under its partition."""
         starts = self._stripe_starts[replica]
         if starts is not None:
             return np.add.reduceat(column_loads, starts)
@@ -443,10 +479,10 @@ class BatchRunner:
         workloads = stripe_loads * self.applications[replica].flop_per_load_unit
         return LBContext(
             iteration=iteration,
-            # repro: noqa[HOT002] -- LBContext's contract is a tuple of Python floats (solo-identical hashing); built once per LB decision, not per iteration
+            # repro: noqa[HOT002] -- LBContext's contract is a tuple of Python floats; built once per LB decision, not per iteration
             pe_workloads=tuple(workloads.tolist()),
             wir_views=self.wir_db.replica(replica).views(),
-            last_lb_iteration=self._last_lb_iteration[replica],
+            last_lb_iteration=int(self._last_lb_arr[replica]),
             accumulated_degradation=self.degradation.degradation_of(replica),
             average_lb_cost=self._average_lb_cost(replica),
             pe_speed=self.state.speed,
@@ -463,7 +499,7 @@ class BatchRunner:
         lb_reports: List[List[LBStepReport]],
         context: Optional[LBContext] = None,
     ) -> None:
-        """Run one replica's centralized LB step (solo-identical sequence)."""
+        """Run one replica's centralized LB step (Algorithm 2)."""
         if context is None:
             context = self._build_context(r, iteration, new_stripe_loads[r])
         report = self.load_balancers[r].execute(
@@ -472,10 +508,16 @@ class BatchRunner:
             current_partition=self.partitions[r],
         )
         lb_reports[r].append(report)
+        if self._on_lb_step is not None:
+            self._on_lb_step(iteration, report)
         self.partitions[r] = report.partition
-        self._stripe_starts[r] = self._starts_of(report.partition)  # repro: noqa[FLOW-HOT] -- O(P) starts vector rebuilt once per LB step, not per iteration
-        self._refresh_concat_starts()  # repro: noqa[FLOW-HOT] -- concatenated starts cache rebuilt once per LB step, not per iteration
-        self._last_lb_iteration[r] = iteration + 1
+        starts = self._stripe_starts[r] = self._starts_of(report.partition)  # repro: noqa[FLOW-HOT] -- O(P) starts vector rebuilt once per LB step, not per iteration
+        if starts is not None and self._concat_starts is not None:
+            self._concat_starts[r * self.num_pes : (r + 1) * self.num_pes] = (
+                starts + r * self._num_columns
+            )
+        else:
+            self._refresh_concat_starts()  # repro: noqa[FLOW-HOT] -- concatenated starts cache rebuilt once per LB step, not per iteration
         self._last_lb_arr[r] = iteration + 1
         if self._trigger_fast_mode is not None:
             self._avg_cost_buf[r] = self._average_lb_cost(r)
@@ -552,17 +594,17 @@ class BatchRunner:
         lb_reports: List[List[LBStepReport]] = [[] for _ in range(R)]
         # Deferred per-iteration trace buffers (one bulk write per run
         # instead of R Python record calls per iteration).
-        pe_times_buf = np.empty((iterations, R, P), dtype=float)
-        elapsed_buf = np.empty((iterations, R), dtype=float)
-        timestamp_buf = np.empty((iterations, R), dtype=float)
+        pe_times_buf = np.empty((R, iterations, P), dtype=float)
+        elapsed_buf = np.empty((R, iterations), dtype=float)
+        timestamp_buf = np.empty((R, iterations), dtype=float)
 
         fast_mode = self._trigger_fast_mode
         self._fill_columns()
         stripe_loads = self._stripe_loads_all()
 
-        # Hot-loop stage attribution (repro.obs): identical probe pattern
-        # and stage names to the solo runner, one `is not None` check per
-        # probe when disabled.
+        # Hot-loop stage attribution (repro.obs): every probe is guarded by
+        # one `prof is not None` check, so the disabled default adds no
+        # calls, no allocation and no branch beyond this comparison.
         prof = self._profiler
         if prof is not None:
             prof.loop_start()
@@ -571,7 +613,7 @@ class BatchRunner:
             flop_per_pe = stripe_loads * flop_per_load
 
             # Line 10, batched: one bulk-synchronous compute phase of every
-            # replica (identical elementwise ops to R solo compute_steps).
+            # replica (the elementwise ops of VirtualCluster.compute_step).
             t0 = prof.start() if prof is not None else 0
             start = state.clock.max(axis=1)
             pe_times = flop_per_pe / state.speed
@@ -580,9 +622,9 @@ class BatchRunner:
             end = state.clock.max(axis=1) + sync_cost
             state.clock[:] = end[:, None]
             elapsed = end - start
-            pe_times_buf[iteration] = pe_times
-            elapsed_buf[iteration] = elapsed
-            timestamp_buf[iteration] = end
+            pe_times_buf[:, iteration] = pe_times
+            elapsed_buf[:, iteration] = elapsed
+            timestamp_buf[:, iteration] = end
             # repro: noqa[HOT001] -- two scalar attribute bumps per replica on plain-Python comm counters; vectorizing would need an array-backed facade for bookkeeping only
             for cluster in self.clusters:
                 cluster.comm.num_collectives += 1
@@ -642,7 +684,7 @@ class BatchRunner:
                     if fast_mode == "ulba":
                         trigger = self.trigger_policies[r]
                         n = trigger.detector.overloading_count(
-                            self.wir_db.known_values(r, 0)
+                            self.wir_db.replica(r).known_values(0)
                         )
                         if 0 < n < P:
                             workloads = (
@@ -653,7 +695,7 @@ class BatchRunner:
                                 trigger.alpha
                                 * n
                                 / (P - n)
-                                # repro: noqa[HOT002] -- sequential Python-float sum is bit-identical to the solo trigger's tuple sum; np.sum's pairwise summation rounds differently
+                                # repro: noqa[HOT002] -- sequential Python-float sum is bit-identical to ULBADegradationTrigger's tuple sum; np.sum's pairwise summation rounds differently
                                 * sum(workloads.tolist())
                                 / (state.speed * P)
                             )
@@ -671,11 +713,8 @@ class BatchRunner:
                     if prof is not None:
                         prof.stop("lb_apply", t0)
             else:
-                if prof is not None:
-                    prof.stop("lb_decide", t0)
                 # repro: noqa[HOT001] -- generic-trigger fallback: custom trigger policies are per-replica Python objects; the vectorized fast path above covers the paper's trigger family
                 for r in range(R):
-                    t0 = prof.start() if prof is not None else 0
                     context = self._build_context(r, iteration, new_stripe_loads[r])
                     fire = self.trigger_policies[r].should_balance(context)
                     if prof is not None:
@@ -694,28 +733,29 @@ class BatchRunner:
                             prof.stop("lb_apply", t0)
                     else:
                         stripe_loads[r] = new_stripe_loads[r]
+                    if prof is not None:
+                        t0 = prof.start()
+
+            if self._on_iteration is not None:
+                self._on_iteration(iteration, float(elapsed[0]))
 
         if prof is not None:
             prof.loop_stop()
 
-        # Materialize the deferred iteration records (same float values the
-        # solo cluster would have recorded live; tolist() already yields
+        # Materialize the deferred iteration records (tolist() already yields
         # Python floats, so the records are built without per-element
         # conversion).
         results: List[RunResult] = []
         for r in range(R):
             trace = self.clusters[r].trace
-            elapsed_list = elapsed_buf[:, r].tolist()
-            timestamp_list = timestamp_buf[:, r].tolist()
-            pe_times_list = pe_times_buf[:, r, :].tolist()
             trace.iterations.extend(
-                IterationRecord(
-                    iteration=iteration,
-                    elapsed=elapsed_list[iteration],
-                    pe_compute_times=tuple(pe_times_list[iteration]),
-                    timestamp=timestamp_list[iteration],
+                map(
+                    IterationRecord,
+                    range(iterations),
+                    elapsed_buf[r].tolist(),
+                    map(tuple, pe_times_buf[r].tolist()),
+                    timestamp_buf[r].tolist(),
                 )
-                for iteration in range(iterations)
             )
             results.append(
                 RunResult(

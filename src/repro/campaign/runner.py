@@ -46,7 +46,7 @@ import traceback as traceback_module
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.config import ObsConfig
 from repro.api.events import (
@@ -69,6 +69,10 @@ from repro.resilience.errors import CellError
 from repro.resilience.pool import SupervisedPool, TaskFailure, TaskResult
 from repro.resilience.quarantine import QuarantineEntry, QuarantineLog
 from repro.resilience.retry import RetryPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.skeleton import RunResult
+    from repro.scenarios.base import ScenarioInstance
 
 __all__ = [
     "CampaignRun",
@@ -126,6 +130,18 @@ def run_cell(
     session = Session.from_config(_cell_config(cell, obs))
     result = session.run()
     _session_telemetry(session, telemetry)
+    return _cell_row(
+        cell, result.run, session.scenario_instance, wall_clock() - started
+    )
+
+
+def _cell_row(
+    cell: CampaignCell,
+    result: "RunResult",
+    instance: "ScenarioInstance",
+    wall_time: float,
+) -> CellRow:
+    """The JSON row of one executed cell (solo or one replica of a batch)."""
     return {
         "cell_id": cell.cell_id,
         "scenario": cell.scenario,
@@ -143,8 +159,8 @@ def run_cell(
         "total_time": result.total_time,
         "num_lb_calls": result.num_lb_calls,
         "mean_utilization": result.mean_utilization,
-        "model_N": session.scenario_instance.parameters.num_overloading,
-        "wall_time": wall_clock() - started,
+        "model_N": instance.parameters.num_overloading,
+        "wall_time": wall_time,
     }
 
 
@@ -173,31 +189,10 @@ def run_cell_batch(
     batch = session.run_batch(seeds=[cell.seed for cell in cells])
     _session_telemetry(session, telemetry)
     wall_share = (wall_clock() - started) / len(cells)
-    rows: List[CellRow] = []
-    for cell, result, instance in zip(cells, batch.replicas, session.batch_instances):
-        rows.append(
-            {
-                "cell_id": cell.cell_id,
-                "scenario": cell.scenario,
-                "policy": cell.policy.label,
-                "policy_kind": cell.policy.kind,
-                "alpha": cell.policy.alpha,
-                "seed_index": cell.seed_index,
-                "seed": cell.seed,
-                "num_pes": cell.num_pes,
-                "iterations": cell.iterations,
-                "latency": cell.latency,
-                "bandwidth": cell.bandwidth,
-                "bytes_per_load_unit": cell.bytes_per_load_unit,
-                "pe_speed": cell.pe_speed,
-                "total_time": result.total_time,
-                "num_lb_calls": result.num_lb_calls,
-                "mean_utilization": result.mean_utilization,
-                "model_N": instance.parameters.num_overloading,
-                "wall_time": wall_share,
-            }
-        )
-    return rows
+    return [
+        _cell_row(cell, result, instance, wall_share)
+        for cell, result, instance in zip(cells, batch.replicas, session.batch_instances)
+    ]
 
 
 def _run_batch_task(

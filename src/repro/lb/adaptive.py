@@ -95,7 +95,7 @@ class DegradationTrigger(TriggerPolicy):
     The runtime accumulates ``sum_i (t_i - t_ref)`` where ``t_ref`` is the
     (median-smoothed) iteration time right after the last LB step; the
     balancer runs when that accumulation reaches the average LB cost.  The
-    accumulation itself lives in :class:`repro.runtime.degradation.DegradationTracker`;
+    accumulation itself lives in :mod:`repro.runtime.degradation`;
     this policy only compares it to the threshold.
     """
 

@@ -124,7 +124,7 @@ class LBDecision:
         if np.any(shares < 0.0):
             raise ValueError("target_shares must all be >= 0")
         total = shares.sum()
-        if not np.isclose(total, 1.0, rtol=0.0, atol=1e-9):
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"target_shares must sum to 1, got {total}")
         if len(self.alphas) != shares.size:
             raise ValueError("alphas must have one entry per PE")

@@ -157,7 +157,7 @@ class CentralizedLoadBalancer:
             per_pe_migrated = sent + received
 
         partition_seconds = (
-            self.partition_flop_per_column * loads.size / self.cluster.pes[self.root].speed
+            self.partition_flop_per_column * loads.size / self.cluster.pe_speed
         )
         cost = self.cluster.charge_lb_step(
             iteration=context.iteration,

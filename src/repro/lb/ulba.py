@@ -80,7 +80,7 @@ class ULBAPolicy(WorkloadPolicy):
         matrix = views.complete_matrix() if fast else None
         if matrix is not None and type(self.detector) is OverloadDetector:
             flags = self.detector.overloading_mask_from_views(matrix)
-            overloading = [int(rank) for rank in np.flatnonzero(flags)]
+            overloading = np.flatnonzero(flags).tolist()
             requested[flags] = self.alpha
         else:
             overloading = []
@@ -109,8 +109,8 @@ class ULBAPolicy(WorkloadPolicy):
         if not overloading or downgraded:
             share = 1.0 / num_pes
             return LBDecision(
-                target_shares=tuple(share for _ in range(num_pes)),
-                alphas=tuple(0.0 for _ in range(num_pes)),
+                target_shares=(share,) * num_pes,
+                alphas=(0.0,) * num_pes,
                 overloading_ranks=tuple(overloading),
                 downgraded_to_standard=downgraded,
                 policy=self.name,

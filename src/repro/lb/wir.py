@@ -14,9 +14,11 @@ Four pieces live here:
 * :class:`WIREstimateArray` -- the vectorized form: one estimator state
   vector for all ``P`` PEs, updated with a single batched EMA per iteration
   (numerically identical to ``P`` scalar :class:`WIREstimate` updates).
-* :class:`WIRDatabase` -- the replicated board of WIR values, built on the
-  gossip substrate (:class:`repro.simcluster.gossip.GossipBoard`) or fed
-  directly when gossip is not simulated.
+* :class:`BatchWIRDatabase` / :class:`WIRDatabase` -- the replicated board
+  of WIR values for ``R`` replicas, and the view of one replica (a
+  standalone ``WIRDatabase`` is a batch of one), built on the gossip
+  substrate (:mod:`repro.simcluster.gossip`) or fed directly when gossip is
+  not simulated.
 * :class:`OverloadDetector` -- the z-score rule of Algorithm 1 (line 19).
 """
 
@@ -29,9 +31,9 @@ import numpy as np
 
 from repro.simcluster.gossip import (
     BatchGossipBoard,
+    GossipBoard,
     GossipConfig,
     SparseGossipBoard,
-    make_gossip_board,
 )
 from repro.utils.markers import hot_path
 from repro.utils.rng import SeedLike
@@ -313,15 +315,13 @@ class LazyWIRViews:
         """The full ``(P, P)`` view matrix once every entry is known.
 
         Row ``r`` is rank ``r``'s complete view; ``None`` while any view is
-        still partial (or when the backing database does not expose the
-        matrix form).  Read-only.
+        still partial.  Read-only.
         """
-        accessor = getattr(self._db, "complete_matrix", None)
-        return accessor() if accessor is not None else None
+        return self._db.complete_matrix()
 
 
 class WIRDatabase:
-    """Replicated ``rank -> WIR`` database.
+    """Replicated ``rank -> WIR`` database of one run.
 
     The database can operate in two modes:
 
@@ -329,13 +329,19 @@ class WIRDatabase:
       one dissemination step per application iteration, so each rank's view
       may be slightly stale -- exactly the mechanism of Section III-C.  The
       board implementation follows ``gossip_config.mode``: the dense
-      ``(P, P)`` :class:`GossipBoard` (default), or the memory-bounded
+      ``(P, P)`` :class:`~repro.simcluster.gossip.GossipBoard` (default),
+      or the memory-bounded
       :class:`~repro.simcluster.gossip.SparseGossipBoard` for large
       clusters, whose views are partial by design (the consumers' dense
       ``complete_matrix`` fast paths then degrade to the per-rank rule);
     * **instant mode** (``use_gossip=False``): every publish is immediately
       visible to all ranks, modelling an allgather-based implementation and
       convenient for deterministic tests.
+
+    A ``WIRDatabase`` is one replica of a :class:`BatchWIRDatabase`: a
+    standalone database is a batch of one, and
+    :meth:`BatchWIRDatabase.replica` returns the views of a wider batch,
+    which read and publish but do not :meth:`disseminate` on their own.
     """
 
     def __init__(
@@ -346,16 +352,27 @@ class WIRDatabase:
         gossip_config: Optional[GossipConfig] = None,
         seed: SeedLike = None,
     ) -> None:
-        check_positive_int(num_ranks, "num_ranks")
-        self.num_ranks = num_ranks
-        self.use_gossip = use_gossip
-        self._board = (
-            make_gossip_board(num_ranks, config=gossip_config, seed=seed)
-            if use_gossip
-            else None
+        self._bind(
+            BatchWIRDatabase(
+                num_ranks, [seed], use_gossip=use_gossip, gossip_config=gossip_config
+            ),
+            0,
         )
-        self._instant_values = np.zeros(num_ranks, dtype=float)
-        self._instant_known = np.zeros(num_ranks, dtype=bool)
+
+    @classmethod
+    def _view(cls, batch: "BatchWIRDatabase", replica: int) -> "WIRDatabase":
+        db = cls.__new__(cls)
+        db._bind(batch, replica)
+        return db
+
+    def _bind(self, batch: "BatchWIRDatabase", replica: int) -> None:
+        self._batch = batch
+        self.num_ranks = batch.num_ranks
+        self.use_gossip = batch.use_gossip
+        #: This replica's gossip board (``None`` in instant mode).
+        self._board = batch._boards[replica] if batch._boards is not None else None
+        self._instant_values = batch._instant_values[replica]
+        self._instant_known = batch._instant_known[replica]
 
     # ------------------------------------------------------------------
     def publish(self, rank: int, wir: float) -> None:
@@ -368,14 +385,14 @@ class WIRDatabase:
             self._instant_values[rank] = float(wir)
             self._instant_known[rank] = True
 
-    # Audited for FLOW-HOT: asarray is a no-op on the runner's float64 rates
-    # array and both branches are vectorized writes into preallocated state.
+    # Audited for FLOW-HOT: asarray is a no-op on float64 rates arrays and
+    # both branches are vectorized writes into preallocated state.
     @hot_path
     def publish_all(self, wirs: np.ndarray) -> None:
         """Every rank publishes its WIR in one vectorized update.
 
         Equivalent to ``publish(r, wirs[r])`` for every rank, without ``P``
-        Python-level calls; this is what the runner's hot loop uses.
+        Python-level calls.
         """
         wirs = np.asarray(wirs, dtype=float)
         if wirs.shape != (self.num_ranks,):
@@ -391,8 +408,12 @@ class WIRDatabase:
 
     def disseminate(self) -> None:
         """Perform one gossip dissemination step (no-op in instant mode)."""
-        if self._board is not None:
-            self._board.step()
+        if self._batch.num_replicas != 1:
+            raise RuntimeError(
+                "a replica view of a wider batch cannot disseminate alone; "
+                "call BatchWIRDatabase.disseminate"
+            )
+        self._batch.disseminate()
 
     def view(self, rank: int) -> Dict[int, float]:
         """WIR values known by ``rank`` (may be partial in gossip mode)."""
@@ -457,59 +478,19 @@ class WIRDatabase:
         return len(self.view(rank)) / self.num_ranks
 
 
-class _ReplicaWIRDatabase:
-    """Read-only ``WIRDatabase`` facade over one replica of a batch database.
-
-    Implements exactly the surface :class:`LazyWIRViews` and the LB policies
-    consume (``num_ranks`` / ``view``), so per-replica trigger and workload
-    policies run unchanged against the batched state.
-    """
-
-    __slots__ = ("_batch", "_replica")
-
-    def __init__(self, batch: "BatchWIRDatabase", replica: int) -> None:
-        self._batch = batch
-        self._replica = replica
-
-    @property
-    def num_ranks(self) -> int:
-        """PEs per replica."""
-        return self._batch.num_ranks
-
-    def view(self, rank: int) -> Dict[int, float]:
-        """WIR values known by ``rank`` in this replica."""
-        return self._batch.view(self._replica, rank)
-
-    def known_values(self, rank: int) -> np.ndarray:
-        """Compacted known WIRs of ``rank`` (ascending source order)."""
-        return self._batch.known_values(self._replica, rank)
-
-    def own_rate(self, rank: int) -> Optional[float]:
-        """The WIR ``rank`` published for itself in this replica, if any."""
-        return self._batch.own_rate(self._replica, rank)
-
-    def complete_matrix(self) -> Optional[np.ndarray]:
-        """This replica's full ``(P, P)`` view matrix, or None while partial."""
-        return self._batch.complete_matrix(self._replica)
-
-    def views(self) -> LazyWIRViews:
-        """Lazily materialized per-rank views of this replica."""
-        return LazyWIRViews(self)
-
-
 class BatchWIRDatabase:
     """``R`` replicated WIR databases advanced in lock step.
 
-    The batched counterpart of :class:`WIRDatabase`: dense gossip mode
-    stores all replicas in one
+    Dense gossip mode stores all replicas in one
     :class:`~repro.simcluster.gossip.BatchGossipBoard` (``(R, P, P)`` state,
     one batched dissemination round per call), sparse gossip mode
     (``gossip_config.mode == "sparse"``) keeps one memory-bounded
     :class:`~repro.simcluster.gossip.SparseGossipBoard` per replica
     (``O(R * P * view_size)`` total), and instant mode keeps an ``(R, P)``
-    value matrix.  Each replica consumes its own seed exactly like a solo
-    database, so replica ``r`` is bit-identical to
-    ``WIRDatabase(P, seed=seeds[r])`` under the same config.
+    value matrix.  Each replica consumes its own seed, so replica ``r`` is
+    bit-identical to ``WIRDatabase(P, seed=seeds[r])`` under the same
+    config; :meth:`replica` returns that replica's :class:`WIRDatabase`
+    view, which is what the per-replica LB policies read.
     """
 
     def __init__(
@@ -526,21 +507,26 @@ class BatchWIRDatabase:
         self.num_ranks = num_ranks
         self.num_replicas = len(seeds)
         self.use_gossip = use_gossip
-        self.gossip_config = gossip_config
-        self._board = None
-        self._sparse_boards: Optional[List[SparseGossipBoard]] = None
+        #: The dense batch board (``None`` in sparse and instant mode).
+        self._board: Optional[BatchGossipBoard] = None
+        #: One board per replica: dense replica views or sparse boards.
+        self._boards: "Optional[List[GossipBoard | SparseGossipBoard]]" = None
         if use_gossip:
             if gossip_config is not None and gossip_config.mode == "sparse":
-                self._sparse_boards = [
+                self._boards = [
                     SparseGossipBoard(num_ranks, config=gossip_config, seed=s)
                     for s in seeds
                 ]
             else:
-                self._board = BatchGossipBoard(
-                    num_ranks, seeds, config=gossip_config
-                )
+                self._board = BatchGossipBoard(num_ranks, seeds, config=gossip_config)
+                self._boards = [
+                    self._board.replica(r) for r in range(self.num_replicas)
+                ]
         self._instant_values = np.zeros((self.num_replicas, num_ranks), dtype=float)
         self._instant_known = np.zeros((self.num_replicas, num_ranks), dtype=bool)
+        self._replicas = [
+            WIRDatabase._view(self, r) for r in range(self.num_replicas)
+        ]
 
     # ------------------------------------------------------------------
     def publish_all(self, wirs: np.ndarray) -> None:
@@ -553,9 +539,9 @@ class BatchWIRDatabase:
             )
         if self._board is not None:
             self._board.publish_all(wirs)
-        elif self._sparse_boards is not None:
-            for r, board in enumerate(self._sparse_boards):
-                board.publish_all(wirs[r])
+        elif self._boards is not None:
+            for board, row in zip(self._boards, wirs):
+                board.publish_all(row)
         else:
             np.copyto(self._instant_values, wirs)
             self._instant_known[:] = True
@@ -564,69 +550,15 @@ class BatchWIRDatabase:
         """One gossip round across every replica (no-op in instant mode)."""
         if self._board is not None:
             self._board.step()
-        elif self._sparse_boards is not None:
-            for board in self._sparse_boards:
+        elif self._boards is not None:
+            for board in self._boards:
                 board.step()
 
-    def view(self, replica: int, rank: int) -> Dict[int, float]:
-        """WIR values known by ``rank`` of ``replica``."""
-        if self._board is not None:
-            return self._board.local_view(replica, rank)
-        if self._sparse_boards is not None:
-            self._check_indices(replica, rank)
-            return self._sparse_boards[replica].local_view(rank)
+    def replica(self, replica: int) -> WIRDatabase:
+        """The :class:`WIRDatabase` view of one replica."""
         if not 0 <= replica < self.num_replicas:
             raise ValueError(f"replica {replica} outside [0, {self.num_replicas})")
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
-        known = np.flatnonzero(self._instant_known[replica])
-        row = self._instant_values[replica]
-        return {int(r): float(row[r]) for r in known}
-
-    def known_values(self, replica: int, rank: int) -> np.ndarray:
-        """Compacted known WIRs of one rank (ascending source order)."""
-        if self._board is not None:
-            return self._board.known_values_row(replica, rank)
-        self._check_indices(replica, rank)
-        if self._sparse_boards is not None:
-            return self._sparse_boards[replica].known_values_row(rank)
-        return self._instant_values[replica][self._instant_known[replica]]
-
-    def own_rate(self, replica: int, rank: int) -> Optional[float]:
-        """The WIR ``rank`` of ``replica`` published for itself, if any."""
-        if self._board is not None:
-            return self._board.own_value(replica, rank)
-        self._check_indices(replica, rank)
-        if self._sparse_boards is not None:
-            return self._sparse_boards[replica].own_value(rank)
-        if not self._instant_known[replica, rank]:
-            return None
-        return float(self._instant_values[replica, rank])
-
-    def complete_matrix(self, replica: int) -> Optional[np.ndarray]:
-        """One replica's full view matrix, or None while partial (read-only)."""
-        if self._board is not None:
-            return self._board.complete_matrix(replica)
-        self._check_indices(replica, 0)
-        if self._sparse_boards is not None:
-            return self._sparse_boards[replica].complete_matrix()
-        if not self._instant_known[replica].all():
-            return None
-        return np.broadcast_to(
-            self._instant_values[replica], (self.num_ranks, self.num_ranks)
-        )
-
-    def _check_indices(self, replica: int, rank: int) -> None:
-        if not 0 <= replica < self.num_replicas:
-            raise ValueError(f"replica {replica} outside [0, {self.num_replicas})")
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
-
-    def replica(self, replica: int) -> _ReplicaWIRDatabase:
-        """A solo-``WIRDatabase``-shaped facade over one replica."""
-        if not 0 <= replica < self.num_replicas:
-            raise ValueError(f"replica {replica} outside [0, {self.num_replicas})")
-        return _ReplicaWIRDatabase(self, replica)
+        return self._replicas[replica]
 
 
 @dataclass(frozen=True)

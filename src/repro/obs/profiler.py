@@ -5,14 +5,14 @@ the per-iteration pipeline dominates -- compute step, gossip merge, stripe
 reduceat, WIR update or the LB decision -- before anything is worth
 compiling.  :class:`StageProfiler` answers that with per-stage wall-time
 totals and counts gathered by ``time.perf_counter_ns`` probes that the
-runners place around their named stages::
+runner places around its named stages::
 
     prof = self._profiler            # None when profiling is off
     ...
     t0 = prof.start() if prof is not None else 0
-    step = self.cluster.compute_step(...)
+    self.wir_db.disseminate()
     if prof is not None:
-        prof.stop("compute_step", t0)
+        prof.stop("gossip_round", t0)
 
 The disabled path is a single ``is not None`` check per probe -- no
 allocation, no call -- which is what keeps the default run bit-identical

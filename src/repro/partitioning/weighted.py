@@ -45,10 +45,10 @@ class Partition1D:
     def __post_init__(self) -> None:
         if len(self.boundaries) < 2:
             raise ValueError("a partition needs at least 2 boundaries")
-        bounds = tuple(int(b) for b in self.boundaries)
+        bounds = tuple(map(int, self.boundaries))
         if bounds[0] != 0:
             raise ValueError("boundaries must start at 0")
-        if any(b2 < b1 for b1, b2 in zip(bounds, bounds[1:])):
+        if list(bounds) != sorted(bounds):
             raise ValueError("boundaries must be non-decreasing")
         object.__setattr__(self, "boundaries", bounds)
 
@@ -109,7 +109,7 @@ def target_shares_from_alphas(alphas: Sequence[float]) -> np.ndarray:
     Section III-C is implemented one level up, in
     :class:`repro.lb.ulba.ULBAPolicy`.
     """
-    shares = np.asarray(list(alphas), dtype=float)
+    shares = np.asarray(alphas, dtype=float)
     if shares.ndim != 1 or shares.size == 0:
         raise ValueError("alphas must be a non-empty 1-D sequence")
     if np.any((shares < 0.0) | (shares > 1.0)):
@@ -171,7 +171,7 @@ def partition_contiguous(
     if target_shares is None:
         shares = np.full(num_parts, 1.0 / num_parts)
     else:
-        shares = np.asarray(list(target_shares), dtype=float)
+        shares = np.asarray(target_shares, dtype=float)
         if shares.shape != (num_parts,):
             raise ValueError(
                 f"target_shares must have length {num_parts}, got {shares.shape}"

@@ -299,10 +299,7 @@ class ReferenceGossipBoard:
         snapshot = [dict(view) for view in self._views]
         if self.batched_targets:
             src_idx, dst_idx = select_push_targets(
-                self._rng,
-                self.num_ranks,
-                self.config.fanout,
-                include_root=self.config.include_root,
+                self._rng, self.num_ranks, self.config.fanout
             )
             for src, dst in zip(src_idx.tolist(), dst_idx.tolist()):
                 self._merge_into(dst, snapshot[src])
@@ -318,10 +315,7 @@ class ReferenceGossipBoard:
         fanout = min(self.config.fanout, self.num_ranks - 1)
         candidates = [r for r in range(self.num_ranks) if r != src]
         chosen = self._rng.choice(len(candidates), size=fanout, replace=False)
-        targets = [candidates[int(i)] for i in np.atleast_1d(chosen)]
-        if self.config.include_root and src != 0 and 0 not in targets:
-            targets.append(0)
-        return targets
+        return [candidates[int(i)] for i in np.atleast_1d(chosen)]
 
     def _merge_into(self, dst: int, incoming: Dict[int, Tuple[float, int]]) -> None:
         view = self._views[dst]

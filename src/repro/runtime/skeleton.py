@@ -11,10 +11,11 @@ The same runner serves the standard method and ULBA -- only the injected
 policies differ -- which mirrors the paper's statement that both
 implementations share the same centralized LB technique.
 
-For replica-averaged studies (the unit of work of every paper figure),
-:class:`repro.batch.BatchRunner` executes ``R`` seeded instances of this
-loop in one vectorized pass over ``(R, P)`` state; replica ``r`` of a batch
-is bit-identical to running this runner solo with seed ``r``.
+The loop itself lives in :class:`repro.batch.BatchRunner`, which executes
+``R`` seeded replicas in one vectorized pass over ``(R, P)`` state (the
+unit of work of every paper figure); :class:`IterativeRunner` is its
+one-replica facade on the caller's own :class:`VirtualCluster`, so a solo
+run and replica ``r`` of a batch seeded ``r`` are the same code.
 """
 
 from __future__ import annotations
@@ -28,16 +29,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profiler import StageProfile, StageProfiler
 
 from repro.lb.adaptive import DegradationTrigger
-from repro.lb.base import LBContext, TriggerPolicy, WorkloadPolicy
-from repro.lb.centralized import CentralizedLoadBalancer, LBStepReport
+from repro.lb.base import TriggerPolicy, WorkloadPolicy
+from repro.lb.centralized import LBStepReport
 from repro.lb.standard import StandardPolicy
-from repro.lb.wir import WIRDatabase, WIREstimateArray
-from repro.partitioning.stripe import StripePartition, StripePartitioner
-from repro.runtime.degradation import DegradationTracker
+from repro.lb.wir import WIRDatabase
+from repro.partitioning.stripe import StripePartition
 from repro.simcluster.cluster import VirtualCluster
 from repro.simcluster.gossip import GossipConfig
 from repro.simcluster.tracing import ClusterTrace
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike
 from repro.utils.validation import check_non_negative, check_positive, check_positive_int
 
 __all__ = [
@@ -141,6 +141,11 @@ class RunResult:
 class IterativeRunner:
     """Algorithm 1 driver binding an application to the virtual cluster.
 
+    A one-replica :class:`~repro.batch.runner.BatchRunner` (:attr:`engine`)
+    executes the loop on ``cluster`` itself: clocks, PE accounting, the
+    trace and the comm counters all advance on the caller's cluster, and
+    repeated :meth:`run` calls continue where the previous one stopped.
+
     Parameters
     ----------
     cluster:
@@ -202,181 +207,47 @@ class IterativeRunner:
         on_lb_step: Optional[Callable[[int, LBStepReport], None]] = None,
         profiler: "Optional[StageProfiler]" = None,
     ) -> None:
-        check_non_negative(initial_lb_cost_estimate, "initial_lb_cost_estimate")
+        # Imported here: the batch engine imports this module's protocol
+        # and result types.
+        from repro.batch.runner import BatchRunner
+
         self.cluster = cluster
         self.application = application
-        self._profiler = profiler
-        if application.num_columns < cluster.size:
-            raise ValueError(
-                f"the application has {application.num_columns} columns, "
-                f"fewer than the {cluster.size} PEs"
-            )
         self.workload_policy = workload_policy or StandardPolicy()
         self.trigger_policy = trigger_policy or DegradationTrigger()
         self.initial_lb_cost_estimate = initial_lb_cost_estimate
-        self._on_iteration = on_iteration
-        self._on_lb_step = on_lb_step
-
-        rng = ensure_rng(seed)
-        self.wir_db = WIRDatabase(
+        #: The one-replica batch engine that executes the loop.
+        self.engine = BatchRunner(
             cluster.size,
+            [application],
+            seeds=[seed],
+            pe_speed=cluster.pe_speed,
+            cost_model=cluster.comm.cost_model,
+            workload_policies=[self.workload_policy],
+            trigger_policies=[self.trigger_policy],
             use_gossip=use_gossip,
             gossip_config=gossip_config,
-            seed=rng,
-        )
-        self.wir_estimates = WIREstimateArray(cluster.size, smoothing=wir_smoothing)
-        self.degradation = DegradationTracker()
-        self.load_balancer = CentralizedLoadBalancer(
-            cluster,
-            self.workload_policy,
+            wir_smoothing=wir_smoothing,
+            initial_lb_cost_estimates=initial_lb_cost_estimate,
             partition_flop_per_column=partition_flop_per_column,
             bytes_per_load_unit=bytes_per_load_unit,
+            profiler=profiler,
         )
-        self.partitioner = StripePartitioner(cluster.size)
-        #: Current stripe partition (uniform before the first LB call).
-        self.partition: StripePartition = self.partitioner.uniform_partition(
-            application.num_columns
-        )
-        self._last_lb_iteration = 0
-        self._total_iterations: Optional[int] = None
+        self.engine._run_on(cluster, on_iteration=on_iteration, on_lb_step=on_lb_step)
 
-    # ------------------------------------------------------------------
-    def _stripe_loads(self, column_loads: Optional[np.ndarray] = None) -> np.ndarray:
-        """Per-stripe workload sums under the current partition.
+    @property
+    def partition(self) -> StripePartition:
+        """Current stripe partition (uniform before the first LB call)."""
+        return self.engine.partitions[0]
 
-        The segmented sums are one ``np.add.reduceat`` over the partition
-        boundaries (with a prefix-sum fallback for degenerate partitions
-        containing empty stripes, which ``reduceat`` mishandles).
-        """
-        cols = (
-            self.application.column_loads()
-            if column_loads is None
-            else column_loads
-        )
-        # repro: noqa[HOT003] -- boundary tuple to array once per call; partitions are small (P+1 ints)
-        bounds = np.asarray(self.partition.partition.boundaries)
-        starts = bounds[:-1]
-        if (bounds[1:] > starts).all():
-            return np.add.reduceat(cols, starts)
-        # repro: noqa[HOT003] -- degenerate-partition fallback: reached only when a stripe is empty, never on the steady-state path
-        prefix = np.concatenate(([0.0], np.cumsum(cols)))
-        return prefix[bounds[1:]] - prefix[starts]
+    @property
+    def wir_db(self) -> WIRDatabase:
+        """The run's replicated WIR database."""
+        return self.engine.wir_db.replica(0)
 
-    def _average_lb_cost(self) -> float:
-        measured = self.load_balancer.average_cost
-        if measured > 0.0:
-            return measured
-        return self.initial_lb_cost_estimate
-
-    def _build_context(self, iteration: int, stripe_loads: np.ndarray) -> LBContext:
-        workloads = stripe_loads * self.application.flop_per_load_unit
-        return LBContext(
-            iteration=iteration,
-            # repro: noqa[HOT002] -- LBContext's contract is a tuple of Python floats; built once per LB decision, not per iteration
-            pe_workloads=tuple(workloads.tolist()),
-            wir_views=self.wir_db.views(),
-            last_lb_iteration=self._last_lb_iteration,
-            accumulated_degradation=self.degradation.degradation,
-            average_lb_cost=self._average_lb_cost(),
-            pe_speed=self.cluster.pe_speed,
-            total_iterations=self._total_iterations,
-        )
-
-    # ------------------------------------------------------------------
     def run(self, iterations: int) -> RunResult:
         """Execute ``iterations`` application iterations (Algorithm 1)."""
-        check_positive_int(iterations, "iterations")
-        self._total_iterations = iterations
-        result = RunResult(
-            trace=self.cluster.trace,
-            policy_name=self.workload_policy.name,
-            trigger_name=self.trigger_policy.name,
-        )
-
-        flop_per_load = self.application.flop_per_load_unit
-        # Column loads only change in ``advance()`` and stripe sums only
-        # change with them or with the partition, so both are computed once
-        # per change and carried across iterations.
-        column_loads = self.application.column_loads()
-        stripe_loads = self._stripe_loads(column_loads)
-
-        # Hot-loop stage attribution (repro.obs): every probe is guarded by
-        # one `prof is not None` check, so the disabled default adds no
-        # calls, no allocation and no branch beyond this comparison.
-        prof = self._profiler
-        if prof is not None:
-            prof.loop_start()
-
-        for iteration in range(iterations):
-            flop_per_pe = stripe_loads * flop_per_load
-
-            # Line 10: data movements and computation of the step.
-            t0 = prof.start() if prof is not None else 0
-            step = self.cluster.compute_step(flop_per_pe, iteration=iteration)  # repro: noqa[FLOW-HOT] -- the solo reference runner materializes per-PE times into the StepResult tuple (O(P) tolist); the replica-batched runner is the vectorized path
-            if prof is not None:
-                prof.stop("compute_step", t0)
-                t0 = prof.start()
-
-            # Application dynamics (erosion, refinement, ...).
-            self.application.advance()
-            if prof is not None:
-                prof.stop("advance", t0)
-                t0 = prof.start()
-
-            # WIR estimation and dissemination (Section III-C): each PE
-            # publishes the increase rate of its own stripe workload, all in
-            # one batched estimator update.
-            column_loads = self.application.column_loads()
-            new_stripe_loads = self._stripe_loads(column_loads)
-            if prof is not None:
-                prof.stop("stripe_sum", t0)
-                t0 = prof.start()
-            rates = self.wir_estimates.observe(new_stripe_loads * flop_per_load)
-            self.wir_db.publish_all(rates)
-            if prof is not None:
-                prof.stop("wir_update", t0)
-                t0 = prof.start()
-            self.wir_db.disseminate()
-            if prof is not None:
-                prof.stop("gossip_round", t0)
-                t0 = prof.start()
-
-            # Lines 11-15: degradation tracking with median smoothing.
-            self.degradation.observe(step.elapsed)
-
-            # Line 16: adaptive LB trigger.
-            context = self._build_context(iteration, new_stripe_loads)
-            fire = self.trigger_policy.should_balance(context)
-            if prof is not None:
-                prof.stop("lb_decide", t0)
-            if fire:
-                t0 = prof.start() if prof is not None else 0
-                report = self.load_balancer.execute(  # repro: noqa[FLOW-HOT] -- LB-step cadence: runs only when the trigger fires, not per iteration
-                    context,
-                    column_loads,
-                    current_partition=self.partition,
-                )
-                result.lb_reports.append(report)
-                if self._on_lb_step is not None:
-                    self._on_lb_step(iteration, report)
-                self.partition = report.partition
-                self._last_lb_iteration = iteration + 1
-                self.degradation.reset()
-                self.trigger_policy.notify_balanced(context)
-                # Re-anchor the WIR estimators: the migration-induced jump in
-                # stripe workload is not application dynamics.
-                rebalanced = self._stripe_loads(column_loads)
-                self.wir_estimates.reset_after_migration(rebalanced * flop_per_load)
-                stripe_loads = rebalanced
-                if prof is not None:
-                    prof.stop("lb_apply", t0)
-            else:
-                stripe_loads = new_stripe_loads
-
-            if self._on_iteration is not None:
-                self._on_iteration(iteration, step.elapsed)
-
-        if prof is not None:
-            prof.loop_stop()
-            result.profile = prof.profile()
+        batch = self.engine.run(iterations)
+        result = batch.replicas[0]
+        result.profile = batch.profile
         return result

@@ -7,13 +7,13 @@ the other PEs using a dissemination (gossip) algorithm; one dissemination
 step is performed per application iteration, and the principle of
 persistence makes slightly stale values acceptable.
 
-:class:`GossipBoard` reproduces that mechanism on flat array state: the
-whole replicated database is a pair of ``(P, P)`` matrices -- ``values`` and
+The dense board reproduces that mechanism on flat array state: the whole
+replicated database is a pair of ``(P, P)`` matrices -- ``values`` and
 ``versions`` -- where row ``r`` is the view of rank ``r`` and column ``s``
 holds what ``r`` knows about source rank ``s`` (version ``-1`` = unknown).
-One :meth:`step` performs the entire synchronous push round with a single
-batched RNG draw (:func:`select_push_targets`) and a vectorized
-freshest-version merge, instead of per-rank ``dict`` snapshot/merge loops.
+One round performs the entire synchronous push with a single batched RNG
+draw and a vectorized freshest-version merge, instead of per-rank ``dict``
+snapshot/merge loops.
 
 Version tie-break rule (applied consistently):
 
@@ -26,9 +26,12 @@ Version tie-break rule (applied consistently):
 
 Two board implementations share those semantics:
 
-* :class:`GossipBoard` -- the **dense** board above: ``O(P^2)`` memory,
-  every rank eventually knows every value, and the ULBA fast paths can read
-  the full view matrix.  The right choice up to a few hundred PEs.
+* the **dense** board: :class:`BatchGossipBoard` stores ``R`` independent
+  boards as one ``(R, P, P)`` pair and steps them together, and
+  :class:`GossipBoard` is one replica of it (a standalone ``GossipBoard``
+  is a batch of one).  ``O(P^2)`` memory per replica, every rank eventually
+  knows every value, and the ULBA fast paths can read the full view matrix.
+  The right choice up to a few hundred PEs.
 * :class:`SparseGossipBoard` -- the **memory-bounded** board for the large-P
   regime (P >= 1024): each rank keeps at most ``view_size`` entries
   (``O(P * view_size)`` memory total), pushes along a configurable topology
@@ -58,7 +61,6 @@ __all__ = [
     "GossipBoard",
     "SparseGossipBoard",
     "make_gossip_board",
-    "merge_pushes",
     "select_push_targets",
     "sparse_random_push_targets",
     "topology_push_targets",
@@ -77,10 +79,6 @@ class GossipConfig:
 
     #: Number of peers each rank pushes its view to per step.
     fanout: int = 2
-    #: When True, every rank also pushes to rank 0 every step, mimicking
-    #: implementations that piggy-back metrics on an existing reduction tree
-    #: (dense board with ``random`` topology only).
-    include_root: bool = False
     #: Board implementation: ``"dense"`` keeps the full ``(P, P)`` view
     #: matrix, ``"sparse"`` bounds every rank's view to ``view_size`` entries
     #: (``O(P * view_size)`` memory -- the large-P execution path).
@@ -113,11 +111,6 @@ class GossipConfig:
                     "view_size must be >= 2 (a view needs the rank's own "
                     f"entry plus at least one neighbour), got {self.view_size}"
                 )
-        if self.include_root and (self.mode != "dense" or self.topology != "random"):
-            raise ValueError(
-                "include_root is only supported on the dense board with the "
-                "random topology"
-            )
 
     # ------------------------------------------------------------------
     def board_nbytes(self, num_ranks: int) -> int:
@@ -136,47 +129,61 @@ class GossipConfig:
         return num_ranks * num_ranks * 16
 
 
+def _random_push_targets(
+    rngs: Sequence[np.random.Generator], num_ranks: int, fanout: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Uniform random push targets of one round, for each generator.
+
+    Every generator draws one ``(P, P)`` matrix of uniform keys; the ``k =
+    min(fanout, P - 1)`` smallest off-diagonal keys of row ``r`` are rank
+    ``r``'s targets -- a uniformly random ``k``-subset per rank, like
+    per-rank sampling without replacement, but batched.  The selection runs
+    once over the stacked keys: ``k <= 3`` repeated vectorized ``argmin``
+    passes (several times faster than introselect), otherwise
+    ``argpartition``.  Both yield the same set per rank, in different
+    orders -- which push is enumerated first only affects value-neutral
+    merge tie-breaks.  Requires ``P >= 2``.
+
+    Returns ``src`` of shape ``(P * k,)``, shared by every generator, and
+    ``dst`` of shape ``(len(rngs), P * k)``.
+    """
+    k = min(fanout, num_ranks - 1)
+    keys = np.empty((len(rngs), num_ranks, num_ranks))
+    for rng, rep_keys in zip(rngs, keys):
+        rng.random(out=rep_keys)
+    diag = np.arange(num_ranks)
+    keys[:, diag, diag] = np.inf
+    if k > 3:
+        targets = np.argpartition(keys, k - 1, axis=-1)[..., :k]
+    else:
+        mins = []
+        for _ in range(k):
+            low = keys.argmin(axis=-1)
+            mins.append(low)
+            np.put_along_axis(keys, low[..., None], np.inf, axis=-1)
+        targets = np.stack(mins, axis=-1)
+    src = np.repeat(np.arange(num_ranks, dtype=np.intp), k)
+    return src, targets.reshape(len(rngs), -1)
+
+
 def select_push_targets(
-    rng: np.random.Generator,
-    num_ranks: int,
-    fanout: int,
-    *,
-    include_root: bool = False,
+    rng: np.random.Generator, num_ranks: int, fanout: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Select every rank's push targets for one round with one RNG draw.
 
     Each rank pushes to ``min(fanout, num_ranks - 1)`` distinct peers chosen
-    uniformly at random (never itself).  The selection is done with a single
-    batched draw: one ``(P, P)`` matrix of uniform keys whose ``fanout``
-    smallest off-diagonal entries per row are the targets -- a uniformly
-    random ``fanout``-subset per rank, like per-rank sampling without
-    replacement, but batched.
+    uniformly at random (never itself), selected from one batched ``(P,
+    P)`` key draw -- exactly how each replica of the dense board selects.
 
     Returns ``(src, dst)`` index arrays of equal length: push ``e`` sends the
-    view of rank ``src[e]`` to rank ``dst[e]``.  With ``include_root``, every
-    rank other than 0 additionally pushes to rank 0.
+    view of rank ``src[e]`` to rank ``dst[e]``.
     """
     check_positive_int(num_ranks, "num_ranks")
     if num_ranks == 1:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    k = min(fanout, num_ranks - 1)
-    keys = rng.random((num_ranks, num_ranks))
-    np.fill_diagonal(keys, np.inf)
-    targets = np.argpartition(keys, k - 1, axis=1)[:, :k]
-
-    src = np.repeat(np.arange(num_ranks, dtype=np.intp), k)
-    dst = targets.ravel().astype(np.intp, copy=False)
-    if include_root:
-        # Ranks != 0 whose targets missed rank 0 push to it as well.
-        missing_root = np.flatnonzero(~(targets == 0).any(axis=1))
-        missing_root = missing_root[missing_root != 0]
-        if missing_root.size:
-            src = np.concatenate([src, missing_root.astype(np.intp)])
-            dst = np.concatenate(
-                [dst, np.zeros(missing_root.size, dtype=np.intp)]
-            )
-    return src, dst
+    src, dst = _random_push_targets([rng], num_ranks, fanout)
+    return src, dst[0]
 
 
 def topology_push_targets(
@@ -242,57 +249,66 @@ def sparse_random_push_targets(
     return src, dst.reshape(-1).astype(np.intp, copy=False)
 
 
-def merge_pushes(
-    values: np.ndarray, versions: np.ndarray, src: np.ndarray, dst: np.ndarray
-) -> None:
-    """Vectorized freshest-version merge of one round's pushes, in place.
+class _PushBoard:
+    """What every board shares: version resolution, rank checks, convergence.
 
-    ``values`` / ``versions`` are ``(V, P)`` matrices whose row ``v`` is one
-    *view* (what its owner knows about the ``P`` source entries); push ``e``
-    sends the pre-round snapshot of row ``src[e]`` to row ``dst[e]``.  The
-    same function merges a solo board (``V = P`` views) and a replica batch
-    (``V = R * P`` views, rows of replica ``r`` offset by ``r * P`` -- views
-    of different replicas never push to each other, so the grouped merge
-    below never mixes them).
-
-    Each push's per-entry version is packed with its push index into one
-    int64 key, so a grouped ``np.maximum.reduceat`` per receiver yields both
-    the freshest incoming version and a push that carries it; entries whose
-    version strictly increases take that push's value.  Which of several
-    equal-version pushes wins is immaterial: copies of the same ``(source,
-    version)`` pair hold the same value.
+    Subclasses provide ``num_ranks``, ``_steps``, ``is_complete()`` and
+    ``step()``.
     """
-    num_pushes = src.shape[0]
-    order = np.argsort(dst, kind="stable")
-    dst_sorted = dst[order]
-    boundaries = np.empty(num_pushes, dtype=bool)
-    boundaries[0] = True
-    np.not_equal(dst_sorted[1:], dst_sorted[:-1], out=boundaries[1:])
-    group_starts = np.flatnonzero(boundaries)
-    receivers = dst_sorted[group_starts]
-    src_sorted = src[order]
 
-    # key = version * num_pushes + push_position: max key <=> max version,
-    # ties resolved towards later (value-identical) pushes.
-    keys = versions[src_sorted] * num_pushes
-    keys += np.arange(num_pushes)[:, None]
-    best = np.maximum.reduceat(keys, group_starts, axis=0)
-    incoming_ver = best // num_pushes
+    num_ranks: int
+    _steps: int
 
-    current_ver = versions[receivers]
-    improved = incoming_ver > current_ver
-    if not improved.any():
-        return
-    # Gather only the winning pushes' values (still the pre-round state:
-    # nothing has been written yet).
-    entry = np.arange(values.shape[1])
-    incoming_val = values[src_sorted[best % num_pushes], entry]
-    values[receivers] = np.where(improved, incoming_val, values[receivers])
-    versions[receivers] = np.where(improved, incoming_ver, current_ver)
+    @property
+    def steps(self) -> int:
+        """Number of dissemination steps performed so far."""
+        return self._steps
+
+    def _rank_values(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as a float vector with one entry per rank."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.num_ranks,):
+            raise ValueError(
+                f"values must have one entry per rank ({self.num_ranks}), "
+                f"got {values.shape}"
+            )
+        return values
+
+    def _version(self, version: Optional[int]) -> int:
+        """The version a publish writes: the step count unless explicit."""
+        v = self.steps if version is None else int(version)
+        if v < 0:
+            raise ValueError(f"version must be >= 0, got {v}")
+        return v
+
+    def _check_rank(self, rank: int) -> None:
+        if not 0 <= rank < self.num_ranks:
+            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
+
+    def run_until_complete(self, max_steps: int = 1_000) -> int:
+        """Gossip until every rank knows every value; returns the step count."""
+        check_positive_int(max_steps, "max_steps")
+        initial = self.steps
+        while not self.is_complete():
+            if self.steps - initial >= max_steps:
+                raise RuntimeError(
+                    f"gossip did not converge within {max_steps} steps; "
+                    "did every rank publish a value?"
+                )
+            self.step()
+        return self.steps - initial
 
 
-class GossipBoard:
-    """Replicated ``rank -> value`` board maintained by push gossip."""
+class GossipBoard(_PushBoard):
+    """Replicated ``rank -> value`` board maintained by push gossip.
+
+    One replica of a dense :class:`BatchGossipBoard`: the ``(P, P)`` value
+    and version matrices are views of that replica's slice of the batch
+    state.  A standalone ``GossipBoard(P, seed=s)`` is a batch of one;
+    :meth:`BatchGossipBoard.replica` hands out the views of a wider batch,
+    which read and publish but do not :meth:`step` on their own (the batch
+    steps every replica together).
+    """
 
     def __init__(
         self,
@@ -301,15 +317,23 @@ class GossipBoard:
         config: Optional[GossipConfig] = None,
         seed: SeedLike = None,
     ) -> None:
-        check_positive_int(num_ranks, "num_ranks")
-        self.num_ranks = num_ranks
-        self.config = config or GossipConfig()
-        self._rng = ensure_rng(seed)
+        self._bind(BatchGossipBoard(num_ranks, [seed], config=config), 0)
+
+    @classmethod
+    def _view(cls, batch: "BatchGossipBoard", replica: int) -> "GossipBoard":
+        board = cls.__new__(cls)
+        board._bind(batch, replica)
+        return board
+
+    def _bind(self, batch: "BatchGossipBoard", replica: int) -> None:
+        self._batch = batch
+        self._replica = replica
+        self.num_ranks = batch.num_ranks
+        self.config = batch.config
         #: ``values[r, s]`` / ``versions[r, s]``: what rank ``r`` knows about
         #: source rank ``s``; version -1 marks an unknown entry.
-        self._values = np.zeros((num_ranks, num_ranks), dtype=float)
-        self._versions = np.full((num_ranks, num_ranks), -1, dtype=np.int64)
-        self._steps = 0
+        self._values = batch._values[replica]
+        self._versions = batch._versions[replica]
         # Completeness is monotone (versions never regress), so the check is
         # cached once it first succeeds.
         self._complete = False
@@ -318,7 +342,7 @@ class GossipBoard:
     @property
     def steps(self) -> int:
         """Number of dissemination steps performed so far."""
-        return self._steps
+        return self._batch.steps
 
     def publish(self, rank: int, value: float, *, version: Optional[int] = None) -> None:
         """Rank ``rank`` publishes a new ``value`` for itself.
@@ -331,9 +355,7 @@ class GossipBoard:
         sentinel).
         """
         self._check_rank(rank)
-        v = self._steps if version is None else int(version)
-        if v < 0:
-            raise ValueError(f"version must be >= 0, got {v}")
+        v = self._version(version)
         if v >= self._versions[rank, rank]:
             self._values[rank, rank] = float(value)
             self._versions[rank, rank] = v
@@ -346,20 +368,9 @@ class GossipBoard:
         Equivalent to ``publish(r, values[r])`` for every rank ``r``, with a
         single diagonal write instead of ``P`` Python calls.
         """
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.num_ranks,):
-            raise ValueError(
-                f"values must have one entry per rank ({self.num_ranks}), "
-                f"got {values.shape}"
-            )
-        v = self._steps if version is None else int(version)
-        if v < 0:
-            raise ValueError(f"version must be >= 0, got {v}")
-        diag = np.arange(self.num_ranks)
-        mask = v >= self._versions[diag, diag]
-        idx = diag[mask]
-        self._values[idx, idx] = values[mask]
-        self._versions[idx, idx] = v
+        values = self._rank_values(values)
+        rows = slice(self._replica, self._replica + 1)
+        self._batch._publish_rows(rows, values[None], self._version(version))
 
     def local_view(self, rank: int) -> Dict[int, float]:
         """The values rank ``rank`` currently knows, keyed by source rank."""
@@ -419,53 +430,18 @@ class GossipBoard:
     def step(self) -> None:
         """Perform one push-gossip dissemination round.
 
-        With the (default) ``random`` topology each rank selects ``fanout``
-        distinct random peers (one batched RNG draw for the whole round);
-        the deterministic ``ring`` / ``hypercube`` topologies consume no
-        randomness.  Every rank pushes its whole view; receivers keep the
-        freshest version of each entry.  The pushes of a round are based on
-        the views at the *start* of the round (synchronous gossip), matching
-        one dissemination step per application iteration.
+        See :meth:`BatchGossipBoard.step`; only a board that is the whole
+        batch (a standalone board) may step.
         """
-        if self.config.topology == "random":
-            src, dst = select_push_targets(
-                self._rng,
-                self.num_ranks,
-                self.config.fanout,
-                include_root=self.config.include_root,
+        if self._batch.num_replicas != 1:
+            raise RuntimeError(
+                "a replica view of a wider batch cannot step alone; "
+                "step the BatchGossipBoard"
             )
-        else:
-            src, dst = topology_push_targets(
-                self._steps, self.num_ranks, self.config.fanout, self.config.topology
-            )
-        if src.size:
-            self._merge_pushes(src, dst)
-        self._steps += 1
-
-    def run_until_complete(self, max_steps: int = 1_000) -> int:
-        """Gossip until every rank knows every value; returns the step count."""
-        check_positive_int(max_steps, "max_steps")
-        initial = self._steps
-        while not self.is_complete():
-            if self._steps - initial >= max_steps:
-                raise RuntimeError(
-                    f"gossip did not converge within {max_steps} steps; "
-                    "did every rank publish a value?"
-                )
-            self.step()
-        return self._steps - initial
-
-    # ------------------------------------------------------------------
-    def _merge_pushes(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """One round's freshest-version merge (see :func:`merge_pushes`)."""
-        merge_pushes(self._values, self._versions, src, dst)
-
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
+        self._batch.step()
 
 
-class SparseGossipBoard:
+class SparseGossipBoard(_PushBoard):
     """Memory-bounded ``rank -> value`` board for the large-P regime.
 
     The dense :class:`GossipBoard` stores the fully replicated database as a
@@ -520,11 +496,6 @@ class SparseGossipBoard:
 
     # ------------------------------------------------------------------
     @property
-    def steps(self) -> int:
-        """Number of dissemination steps performed so far."""
-        return self._steps
-
-    @property
     def nbytes(self) -> int:
         """Bytes of the board's steady-state view arrays."""
         return int(self._src.nbytes + self._val.nbytes + self._ver.nbytes)
@@ -536,9 +507,7 @@ class SparseGossipBoard:
         to the step count, and a self-publish at an unchanged version wins.
         """
         self._check_rank(rank)
-        v = self._steps if version is None else int(version)
-        if v < 0:
-            raise ValueError(f"version must be >= 0, got {v}")
+        v = self._version(version)
         if v >= self._ver[rank, 0]:
             self._val[rank, 0] = float(value)
             self._ver[rank, 0] = v
@@ -547,15 +516,8 @@ class SparseGossipBoard:
         self, values: np.ndarray, *, version: Optional[int] = None
     ) -> None:
         """Every rank publishes its own value in one vectorized update."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.num_ranks,):
-            raise ValueError(
-                f"values must have one entry per rank ({self.num_ranks}), "
-                f"got {values.shape}"
-            )
-        v = self._steps if version is None else int(version)
-        if v < 0:
-            raise ValueError(f"version must be >= 0, got {v}")
+        values = self._rank_values(values)
+        v = self._version(version)
         mask = v >= self._ver[:, 0]
         self._val[mask, 0] = values[mask]
         self._ver[mask, 0] = v
@@ -655,21 +617,12 @@ class SparseGossipBoard:
         Only meaningful on an unbounded board: with ``view_size < P`` a view
         can never hold all entries and the call raises immediately.
         """
-        check_positive_int(max_steps, "max_steps")
         if self.view_size < self.num_ranks:
             raise RuntimeError(
                 f"a bounded view (view_size={self.view_size} < {self.num_ranks} "
                 "ranks) can never become complete"
             )
-        initial = self._steps
-        while not self.is_complete():
-            if self._steps - initial >= max_steps:
-                raise RuntimeError(
-                    f"gossip did not converge within {max_steps} steps; "
-                    "did every rank publish a value?"
-                )
-            self.step()
-        return self._steps - initial
+        return super().run_until_complete(max_steps)
 
     # ------------------------------------------------------------------
     def _merge(self, push_src: np.ndarray, push_dst: np.ndarray) -> None:
@@ -678,7 +631,7 @@ class SparseGossipBoard:
         Candidate entries are every receiver's current entries plus every
         slot of each pushed view.  Per ``(receiver, source)`` pair the
         freshest version survives, with the receiver's existing entry
-        winning ties (value-neutral, as in :func:`merge_pushes`).  Per
+        winning ties (value-neutral, as on the dense board).  Per
         receiver, the own entry is pinned to slot 0 and the freshest
         ``view_size - 1`` other entries are retained (version ties evict
         higher source ranks first).
@@ -756,10 +709,6 @@ class SparseGossipBoard:
 
         self._src, self._val, self._ver = new_src, new_val, new_ver
 
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
-
 
 def make_gossip_board(
     num_ranks: int,
@@ -780,23 +729,21 @@ def make_gossip_board(
     return GossipBoard(num_ranks, config=cfg, seed=seed)
 
 
-class BatchGossipBoard:
-    """``R`` independent gossip boards advanced in lock step, batched.
+class BatchGossipBoard(_PushBoard):
+    """``R`` independent dense gossip boards advanced in lock step, batched.
 
-    The replica-batched execution engine (:mod:`repro.batch`) runs ``R``
-    seeded replicas of one configuration; each replica owns an independent
-    gossip board with its own RNG stream.  This class stores all of them as
-    one ``(R, P, P)`` value/version pair and performs the per-round work --
-    target selection and the freshest-version merge -- as single batched
-    array operations over every replica at once.
+    Every dense board is a replica of this class: the replica-batched
+    execution engine (:mod:`repro.batch`) runs ``R`` seeded replicas of one
+    configuration, each with an independent board and its own RNG stream,
+    and a standalone :class:`GossipBoard` is a batch of one.  All replicas
+    are stored as one ``(R, P, P)`` value/version pair and the per-round
+    work -- target selection and the freshest-version merge -- runs as
+    batched array operations over every replica at once.
 
-    Bit-identical to ``R`` solo boards: each replica's peer selection
-    consumes its own generator exactly like a solo
-    :class:`GossipBoard` seeded the same way (one ``(P, P)`` uniform draw
-    per round), the stacked draws go through one vectorized batched
-    selection, and each replica's round merge applies the same
-    freshest-version rule as :func:`merge_pushes` (any winner difference on
-    version ties is value-neutral).
+    Each replica's peer selection consumes its own generator (one ``(P,
+    P)`` uniform draw per round, like :func:`select_push_targets`), so
+    replica ``r`` is bit-identical to a standalone board seeded with
+    ``seeds[r]``.
 
     Parameters
     ----------
@@ -830,14 +777,16 @@ class BatchGossipBoard:
             (self.num_replicas, num_ranks, num_ranks), -1, dtype=np.int64
         )
         self._steps = 0
-        # Per-replica completeness is monotone; cached once reached.
-        self._replica_complete = np.zeros(self.num_replicas, dtype=bool)
+        self._replicas = [
+            GossipBoard._view(self, r) for r in range(self.num_replicas)
+        ]
 
     # ------------------------------------------------------------------
-    @property
-    def steps(self) -> int:
-        """Number of dissemination steps performed so far (all replicas)."""
-        return self._steps
+    def replica(self, replica: int) -> GossipBoard:
+        """The :class:`GossipBoard` view of one replica."""
+        if not 0 <= replica < self.num_replicas:
+            raise ValueError(f"replica {replica} outside [0, {self.num_replicas})")
+        return self._replicas[replica]
 
     def publish_all(
         self, values: np.ndarray, *, version: Optional[int] = None
@@ -845,7 +794,7 @@ class BatchGossipBoard:
         """Every rank of every replica publishes its own value.
 
         ``values`` is ``(R, P)``; equivalent to
-        ``board_r.publish_all(values[r])`` on ``R`` solo boards.
+        ``replica(r).publish_all(values[r])`` for every replica.
         """
         values = np.asarray(values, dtype=float)
         expected = (self.num_replicas, self.num_ranks)
@@ -853,129 +802,56 @@ class BatchGossipBoard:
             raise ValueError(
                 f"values must be (replicas, ranks) = {expected}, got {values.shape}"
             )
-        v = self._steps if version is None else int(version)
-        if v < 0:
-            raise ValueError(f"version must be >= 0, got {v}")
+        self._publish_rows(slice(None), values, self._version(version))
+
+    def _publish_rows(self, rows: slice, values: np.ndarray, v: int) -> None:
+        """Self-publish ``values`` (one row per replica in ``rows``) at ``v``."""
         diag = np.arange(self.num_ranks)
-        diag_versions = self._versions[:, diag, diag]
-        rep_idx, rank_idx = np.nonzero(v >= diag_versions)
-        self._values[rep_idx, rank_idx, rank_idx] = values[rep_idx, rank_idx]
-        self._versions[rep_idx, rank_idx, rank_idx] = v
-
-    def local_view(self, replica: int, rank: int) -> Dict[int, float]:
-        """The values rank ``rank`` of ``replica`` knows, keyed by source."""
-        self._check_indices(replica, rank)
-        known = np.flatnonzero(self._versions[replica, rank] >= 0)
-        row = self._values[replica, rank]
-        return {int(src): float(row[src]) for src in known}
-
-    def known_values_row(self, replica: int, rank: int) -> np.ndarray:
-        """Compacted known values of one rank (ascending source order)."""
-        self._check_indices(replica, rank)
-        row = self._values[replica, rank]
-        return row[self._versions[replica, rank] >= 0]
-
-    def own_value(self, replica: int, rank: int) -> Optional[float]:
-        """The value ``rank`` of ``replica`` published for itself, if any."""
-        self._check_indices(replica, rank)
-        if self._versions[replica, rank, rank] < 0:
-            return None
-        return float(self._values[replica, rank, rank])
+        board_values, board_versions = self._values[rows], self._versions[rows]
+        rep_idx, rank_idx = np.nonzero(v >= board_versions[:, diag, diag])
+        board_values[rep_idx, rank_idx, rank_idx] = values[rep_idx, rank_idx]
+        board_versions[rep_idx, rank_idx, rank_idx] = v
 
     def is_complete(self) -> bool:
         """True when every rank of every replica knows every value."""
-        return all(self.replica_complete(r) for r in range(self.num_replicas))
-
-    def replica_complete(self, replica: int) -> bool:
-        """True when every rank of ``replica`` knows every value."""
-        if not self._replica_complete[replica]:
-            self._replica_complete[replica] = bool(
-                (self._versions[replica] >= 0).all()
-            )
-        return bool(self._replica_complete[replica])
-
-    def complete_matrix(self, replica: int) -> Optional[np.ndarray]:
-        """One replica's full ``(P, P)`` view matrix, or None while partial.
-
-        Same contract as :meth:`GossipBoard.complete_matrix`; read-only.
-        """
-        self._check_indices(replica, 0)
-        return self._values[replica] if self.replica_complete(replica) else None
+        return all(board.is_complete() for board in self._replicas)
 
     # ------------------------------------------------------------------
     def step(self) -> None:
         """One synchronous push round across every replica.
 
-        With the (default) ``random`` topology, per replica the RNG
-        consumption matches a solo board exactly (one ``(P, P)`` uniform
-        draw); the selection of every replica's targets is one stacked
-        vectorized pass over the ``(R, P, P)`` keys, and the merges run per
-        replica on shared pre-packed versions (cache-resident ``(P, P)``
-        operands).  The deterministic ``ring`` / ``hypercube`` topologies
-        share one edge list across all replicas (no RNG), exactly like the
-        solo board, so batch replicas stay bit-identical to solo boards
-        under every topology.
+        With the (default) ``random`` topology each rank of each replica
+        selects ``fanout`` distinct random peers: one ``(P, P)`` uniform
+        draw per replica from its own generator, and one stacked selection
+        over the ``(R, P, P)`` keys.  The deterministic ``ring`` /
+        ``hypercube`` topologies consume no randomness and share one edge
+        list across all replicas.  Every rank pushes its whole view;
+        receivers keep the freshest version of each entry.  The pushes of a
+        round are based on the views at the *start* of the round
+        (synchronous gossip), matching one dissemination step per
+        application iteration.
         """
         num_ranks = self.num_ranks
-        if num_ranks > 1 and self.config.topology != "random":
-            src, dst = topology_push_targets(
-                self._steps, num_ranks, self.config.fanout, self.config.topology
-            )
+        if num_ranks > 1:
+            if self.config.topology == "random":
+                src, dst = _random_push_targets(
+                    self._rngs, num_ranks, self.config.fanout
+                )
+            else:
+                src, edges = topology_push_targets(
+                    self._steps, num_ranks, self.config.fanout, self.config.topology
+                )
+                dst = np.broadcast_to(edges, (self.num_replicas, edges.size))
             if src.size:
+                # Versions are packed once for the whole batch ((version <<
+                # s) | edge index), and each replica merges inside its own
+                # (P, P) board -- small enough to stay cache-resident, which
+                # measures faster than one flattened (R*P, P) merge.
                 shift = max(1, int(src.shape[0] - 1).bit_length())
                 packed = np.left_shift(self._versions, shift)
                 entry = np.arange(num_ranks)
                 for rep in range(self.num_replicas):
-                    self._merge_replica(rep, src, dst, packed[rep], shift, entry)
-            self._steps += 1
-            return
-        if num_ranks > 1:
-            k = min(self.config.fanout, num_ranks - 1)
-            keys = np.stack(
-                [rng.random((num_ranks, num_ranks)) for rng in self._rngs]
-            )
-            diag = np.arange(num_ranks)
-            keys[:, diag, diag] = np.inf
-            if k <= 3:
-                # k repeated argmin passes select exactly the k smallest
-                # keys per lane (the same set argpartition yields, in a
-                # different order -- which push is enumerated first only
-                # affects value-neutral merge tie-breaks).  Vectorized mins
-                # are several times faster than introselect here.
-                mins = []
-                for _ in range(k):
-                    low = keys.argmin(axis=2)
-                    mins.append(low)
-                    np.put_along_axis(keys, low[:, :, None], np.inf, axis=2)
-                targets = np.stack(mins, axis=2)
-            else:
-                targets = np.argpartition(keys, k - 1, axis=2)[:, :, :k]
-
-            # Per-replica local edges: the fanout sources are the same for
-            # every replica, only the targets differ.  Versions are packed
-            # once for the whole batch ((version << s) | edge index), and
-            # each replica merges inside its own (P, P) board -- small
-            # enough to stay cache-resident, which measures faster than one
-            # flattened (R*P, P) merge over megabyte-sized operands.
-            src = np.repeat(np.arange(num_ranks, dtype=np.intp), k)
-            max_edges = src.shape[0] + (
-                num_ranks if self.config.include_root else 0
-            )
-            shift = max(1, int(max_edges - 1).bit_length())
-            packed = np.left_shift(self._versions, shift)
-            entry = np.arange(num_ranks)
-            for rep in range(self.num_replicas):
-                rep_src = src
-                rep_dst = targets[rep].reshape(-1).astype(np.intp)
-                if self.config.include_root:
-                    missing = np.flatnonzero(~(targets[rep] == 0).any(axis=1))
-                    missing = missing[missing != 0]
-                    if missing.size:
-                        rep_src = np.concatenate([src, missing.astype(np.intp)])
-                        rep_dst = np.concatenate(
-                            [rep_dst, np.zeros(missing.size, dtype=np.intp)]
-                        )
-                self._merge_replica(rep, rep_src, rep_dst, packed[rep], shift, entry)
+                    self._merge_replica(rep, src, dst[rep], packed[rep], shift, entry)
         self._steps += 1
 
     def _merge_replica(
@@ -987,17 +863,16 @@ class BatchGossipBoard:
         shift: int,
         entry: np.ndarray,
     ) -> None:
-        """One replica's grouped freshest-version merge.
+        """One replica's grouped freshest-version merge of a round's pushes.
 
-        Same semantics as :func:`merge_pushes` (per-receiver freshest
-        version; equal-version winners are value-identical) with a cheaper
-        key scheme for the batch hot loop: versions arrive pre-shifted
-        (``packed``), the packed key is ``(version << s) | edge_index``,
-        and unpacking is two bit operations instead of an int64 division
-        and modulo.  Shift-packing preserves the lexicographic (version,
-        edge) order, so merged versions are identical to
-        :func:`merge_pushes` and any winner difference on version ties is
-        value-neutral.
+        Push ``e`` sends the pre-round view of rank ``src[e]`` to rank
+        ``dst[e]``.  Versions arrive pre-shifted (``packed``) and the key of
+        each pushed entry is ``(version << s) | push_index``, so a grouped
+        ``np.maximum.reduceat`` per receiver yields both the freshest
+        incoming version and a push that carries it (two bit operations to
+        unpack); entries whose version strictly increases take that push's
+        value.  Which of several equal-version pushes wins is immaterial:
+        copies of the same ``(source, version)`` pair hold the same value.
         """
         num_pushes = src.shape[0]
         versions = self._versions[rep]
@@ -1021,13 +896,9 @@ class BatchGossipBoard:
         improved = incoming_ver > current_ver
         if not improved.any():
             return
+        # Gather only the winning pushes' values (still the pre-round state:
+        # nothing has been written yet).
         winner = best & ((1 << shift) - 1)
         incoming_val = values[src_sorted[winner], entry]
         values[receivers] = np.where(improved, incoming_val, values[receivers])
         versions[receivers] = np.where(improved, incoming_ver, current_ver)
-
-    def _check_indices(self, replica: int, rank: int) -> None:
-        if not 0 <= replica < self.num_replicas:
-            raise ValueError(f"replica {replica} outside [0, {self.num_replicas})")
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")

@@ -164,12 +164,27 @@ class PEStateArrays:
             raise ValueError("replica_view requires batched state (replicas=R)")
         if not 0 <= replica < self.replicas:
             raise ValueError(f"replica {replica} outside [0, {self.replicas})")
+        return self._alias(replica, None)
+
+    def batch_of_one(self) -> "PEStateArrays":
+        """A ``(1, P)``-shaped batched state sharing this plain state's memory.
+
+        The inverse of :meth:`replica_view`: the batch engine runs a solo
+        cluster as a batch of one through this view, so every update lands
+        in the cluster's own vectors.  Only valid on plain state.
+        """
+        if self.replicas is not None:
+            raise ValueError("batch_of_one requires plain (unbatched) state")
+        return self._alias(None, 1)
+
+    def _alias(self, index: Optional[int], replicas: Optional[int]) -> "PEStateArrays":
+        """A state whose vectors are ``self``'s vectors indexed by ``index``."""
         view = PEStateArrays.__new__(PEStateArrays)
-        view.clock = self.clock[replica]
-        view.busy_time = self.busy_time[replica]
-        view.lb_time = self.lb_time[replica]
+        view.clock = self.clock[index]
+        view.busy_time = self.busy_time[index]
+        view.lb_time = self.lb_time[index]
         view.speed = self.speed
-        view.replicas = None
+        view.replicas = replicas
         return view
 
     def now(self) -> float:

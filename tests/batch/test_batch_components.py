@@ -67,14 +67,16 @@ class TestBatchedPEState:
 
 
 class TestBatchGossipBoard:
-    @pytest.mark.parametrize("include_root", [False, True])
+    @pytest.mark.parametrize("as_generator", [False, True])
     @pytest.mark.parametrize("num_ranks", [1, 2, 5, 16])
-    def test_bit_identical_to_solo_boards(self, include_root, num_ranks):
+    def test_bit_identical_to_solo_boards(self, as_generator, num_ranks):
         replicas = 5
-        config = GossipConfig(fanout=2, include_root=include_root)
+        config = GossipConfig(fanout=2)
         seeds = [100 + r for r in range(replicas)]
         solos = [GossipBoard(num_ranks, config=config, seed=s) for s in seeds]
-        batch = BatchGossipBoard(num_ranks, seeds, config=config)
+        # A ready generator per replica is consumed like the seed it wraps.
+        batch_seeds = [np.random.default_rng(s) for s in seeds] if as_generator else seeds
+        batch = BatchGossipBoard(num_ranks, batch_seeds, config=config)
         rng = np.random.default_rng(0)
         for _ in range(25):
             values = rng.random((replicas, num_ranks))
@@ -86,7 +88,7 @@ class TestBatchGossipBoard:
             batch.step()
         for r, board in enumerate(solos):
             for rank in range(num_ranks):
-                assert batch.local_view(r, rank) == board.local_view(rank)
+                assert batch.replica(r).local_view(rank) == board.local_view(rank)
         assert batch.is_complete() == all(b.is_complete() for b in solos)
 
     def test_steps_counter_and_bounds(self):
@@ -95,9 +97,9 @@ class TestBatchGossipBoard:
         batch.step()
         assert batch.steps == 1
         with pytest.raises(ValueError, match="replica"):
-            batch.local_view(2, 0)
+            batch.replica(2)
         with pytest.raises(ValueError, match="rank"):
-            batch.local_view(0, 4)
+            batch.replica(0).local_view(4)
 
     def test_requires_replicas(self):
         with pytest.raises(ValueError, match="at least one replica"):

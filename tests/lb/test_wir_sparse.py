@@ -119,13 +119,14 @@ class TestBatchSparseDatabase:
             for solo in solos:
                 solo.disseminate()
         for r, solo in enumerate(solos):
+            replica = batch.replica(r)
             for rank in range(num):
-                assert batch.view(r, rank) == solo.view(rank)
+                assert replica.view(rank) == solo.view(rank)
                 assert np.array_equal(
-                    batch.known_values(r, rank), solo.known_values(rank)
+                    replica.known_values(rank), solo.known_values(rank)
                 )
-                assert batch.own_rate(r, rank) == solo.own_rate(rank)
-            assert batch.complete_matrix(r) is None
+                assert replica.own_rate(rank) == solo.own_rate(rank)
+            assert replica.complete_matrix() is None
 
     @pytest.mark.parametrize("topology", ["ring", "hypercube"])
     def test_dense_batch_honours_deterministic_topologies(self, topology):
@@ -149,7 +150,7 @@ class TestBatchSparseDatabase:
                 solo.disseminate()
         for r, solo in enumerate(solos):
             for rank in range(num):
-                assert batch.view(r, rank) == solo.view(rank)
+                assert batch.replica(r).view(rank) == solo.view(rank)
 
     def test_replica_facade_serves_lazy_views(self):
         batch = BatchWIRDatabase(8, [0, 1], gossip_config=SPARSE)

@@ -118,9 +118,10 @@ class TestIterativeRunner:
             synthetic_app(),
             trigger_policy=PeriodicTrigger(period=5),
         )
-        runner.run(12)
-        # After the last LB call the accumulated degradation starts from 0.
-        assert runner.degradation.iterations_since_reset <= 12
+        result = runner.run(12)
+        # The last LB call (iteration 11) reset the accumulated degradation.
+        assert result.trace.lb_iterations()[-1] == 11
+        assert runner.engine.degradation.degradation_of(0) == 0.0
 
     def test_wir_estimates_track_hot_stripe(self):
         cluster = VirtualCluster(4, cost_model=CommCostModel.free())
@@ -129,7 +130,7 @@ class TestIterativeRunner:
             cluster, app, trigger_policy=NeverTrigger(), use_gossip=False
         )
         runner.run(20)
-        rates = [est.rate for est in runner.wir_estimates]
+        rates = runner.engine.wir_estimates.rates[0].tolist()
         assert rates[0] == max(rates)
         assert rates[0] > 10 * max(rates[1:])
 
@@ -206,7 +207,7 @@ class TestIterativeRunner:
             trigger_policy=NeverTrigger(),
             initial_lb_cost_estimate=123.0,
         )
-        assert runner._average_lb_cost() == 123.0
+        assert runner.engine._average_lb_cost(0) == 123.0
 
     def test_measured_lb_cost_replaces_estimate(self):
         cluster = VirtualCluster(4)
@@ -217,5 +218,7 @@ class TestIterativeRunner:
             initial_lb_cost_estimate=123.0,
         )
         runner.run(10)
-        assert runner._average_lb_cost() != 123.0
-        assert runner._average_lb_cost() == pytest.approx(runner.load_balancer.average_cost)
+        assert runner.engine._average_lb_cost(0) != 123.0
+        assert runner.engine._average_lb_cost(0) == pytest.approx(
+            runner.engine.load_balancers[0].average_cost
+        )

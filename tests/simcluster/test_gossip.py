@@ -15,7 +15,6 @@ class TestGossipConfig:
     def test_defaults(self):
         config = GossipConfig()
         assert config.fanout == 2
-        assert not config.include_root
 
     def test_invalid_fanout(self):
         with pytest.raises(ValueError):
@@ -101,14 +100,6 @@ class TestGossipBoard:
             board.publish(rank, float(rank))
         rounds = board.run_until_complete(max_steps=200)
         assert rounds <= 8 * int(math.log2(64)) + 10
-
-    def test_include_root_speeds_root_knowledge(self):
-        board = GossipBoard(32, config=GossipConfig(fanout=1, include_root=True), seed=6)
-        for rank in range(32):
-            board.publish(rank, 1.0)
-        board.step()
-        # With include_root, rank 0 hears from every other rank in one step.
-        assert board.known_fraction(0) == 1.0
 
     def test_deterministic_for_seed(self):
         def run(seed):
@@ -266,19 +257,6 @@ class TestSelectPushTargets:
         src_, dst_ = select_push_targets(rng, 1, 2)
         assert src_.size == dst_.size == 0
 
-    def test_include_root_covers_rank_zero(self):
-        import numpy as np
-
-        from repro.simcluster.gossip import select_push_targets
-
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            src, dst = select_push_targets(rng, 10, 1, include_root=True)
-            for s in range(1, 10):
-                assert 0 in dst[src == s].tolist()
-            # Rank 0 never pushes to itself.
-            assert (dst[src == 0] != 0).all()
-
     def test_single_rng_draw_per_round(self):
         import numpy as np
 
@@ -311,8 +289,7 @@ class TestVectorizedAgainstReferenceBoard:
         for trial in range(10):
             num_ranks = int(rng.integers(2, 24))
             fanout = int(rng.integers(1, 4))
-            include_root = bool(rng.integers(0, 2))
-            config = GossipConfig(fanout=fanout, include_root=include_root)
+            config = GossipConfig(fanout=fanout)
             seed = int(rng.integers(0, 1 << 30))
             fast = GossipBoard(num_ranks, config=config, seed=seed)
             slow = ReferenceGossipBoard(

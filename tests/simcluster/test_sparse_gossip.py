@@ -43,13 +43,6 @@ class TestGossipConfigValidation:
             GossipConfig(mode="sparse", view_size=1)
         GossipConfig(mode="sparse", view_size=2)  # minimum useful view
 
-    def test_include_root_requires_dense_random(self):
-        with pytest.raises(ValueError):
-            GossipConfig(include_root=True, mode="sparse")
-        with pytest.raises(ValueError):
-            GossipConfig(include_root=True, topology="ring")
-        GossipConfig(include_root=True)  # dense + random stays allowed
-
     def test_board_nbytes_scales(self):
         dense = GossipConfig()
         sparse = GossipConfig(mode="sparse", view_size=64)
