@@ -334,6 +334,10 @@ class BatchRunner:
         #: Per-replica column loads, copied once per iteration so the
         #: per-stripe sums of every replica are one concatenated reduceat.
         self._cols_buf = np.empty((replicas, num_columns), dtype=float)
+        #: (buffer row, column_loads method) per replica, bound once.
+        self._column_sources = list(
+            zip(self._cols_buf, [app.column_loads for app in self.applications])
+        )
         self._concat_starts: Optional[np.ndarray] = None
         self._refresh_concat_starts()
         self._total_iterations: Optional[int] = None
@@ -382,10 +386,10 @@ class BatchRunner:
         average LB cost, no WIR reads).  ``"ulba"``: every trigger is
         exactly a :class:`~repro.lb.adaptive.ULBADegradationTrigger` with
         plain identically-parameterized :class:`OverloadDetector` instances,
-        so the per-replica overload counts batch into one stacked z-score
-        pass.  Anything else returns ``None`` and the runner calls
-        ``should_balance`` per replica with a full context -- same results,
-        just slower.
+        so the runner adds the trigger's Eq. 11 overhead inline, for the
+        candidate replicas only.  Anything else returns ``None`` and the
+        runner calls ``should_balance`` per replica with a full context --
+        same results, just slower.
         """
         if all(type(t) is ULBADegradationTrigger for t in triggers):
             detectors = [t.detector for t in triggers]
@@ -463,9 +467,9 @@ class BatchRunner:
 
     def _fill_columns(self) -> None:
         """Copy every application's current column loads into the buffer."""
-        # repro: noqa[HOT001] -- O(R) calls into per-replica application objects; column_loads() is a Python-protocol method, the copy itself is one vectorized np.copyto per replica
-        for r in range(self.num_replicas):
-            np.copyto(self._cols_buf[r], self.applications[r].column_loads())
+        # repro: noqa[HOT001] -- O(R) calls into per-replica application objects; column_loads() is a Python-protocol method, the copy itself is one vectorized row assignment per replica
+        for row, column_loads in self._column_sources:
+            row[...] = column_loads()
 
     def _average_lb_cost(self, replica: int) -> float:
         measured = self.load_balancers[replica].average_cost

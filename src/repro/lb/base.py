@@ -121,7 +121,7 @@ class LBDecision:
         shares = np.asarray(self.target_shares, dtype=float)
         if shares.size == 0:
             raise ValueError("target_shares must not be empty")
-        if np.any(shares < 0.0):
+        if (shares < 0.0).any():
             raise ValueError("target_shares must all be >= 0")
         total = shares.sum()
         if not abs(total - 1.0) <= 1e-9:

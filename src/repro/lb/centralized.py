@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.lb.base import LBContext, LBDecision, WorkloadPolicy
-from repro.partitioning.metrics import migration_volume
 from repro.partitioning.stripe import StripePartition, StripePartitioner
 from repro.simcluster.cluster import VirtualCluster
 from repro.utils.validation import check_non_negative
@@ -102,7 +101,9 @@ class CentralizedLoadBalancer:
             return 0.0
         cached_len, cached_mean = self._average_cache
         if cached_len != len(self.history):
-            cached_mean = float(np.mean([report.cost for report in self.history]))
+            # np.mean's own reduction and division, without its dispatch.
+            costs = np.array([report.cost for report in self.history])
+            cached_mean = float(np.add.reduce(costs)) / costs.size
             self._average_cache = (len(self.history), cached_mean)
         return cached_mean
 
@@ -144,15 +145,17 @@ class CentralizedLoadBalancer:
                 )
             old_owners = current_partition.partition.owners()
             new_owners = new_partition.partition.owners()
-            migrated = migration_volume(old_owners, new_owners, loads)
-            # Per-PE migration volume: load of the columns a PE sends plus
-            # the load of the columns it receives (both cross its NIC).
+            # The migration volume (the sum metrics.migration_volume
+            # computes) and its per-PE split: load of the columns a PE sends
+            # plus the load of the columns it receives (both cross its NIC).
             moved = old_owners != new_owners
+            moved_loads = loads[moved]
+            migrated = float(moved_loads.sum())
             sent = np.bincount(
-                old_owners[moved], weights=loads[moved], minlength=self.cluster.size
+                old_owners[moved], weights=moved_loads, minlength=self.cluster.size
             )
             received = np.bincount(
-                new_owners[moved], weights=loads[moved], minlength=self.cluster.size
+                new_owners[moved], weights=moved_loads, minlength=self.cluster.size
             )
             per_pe_migrated = sent + received
 

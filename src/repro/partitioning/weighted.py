@@ -30,6 +30,9 @@ from repro.utils.validation import check_positive_int
 
 __all__ = ["Partition1D", "partition_contiguous", "target_shares_from_alphas"]
 
+#: Offsets of the three cut candidates around each target's insertion point.
+_CANDIDATE_OFFSETS = np.array([-1, 0, 1])
+
 
 @dataclass(frozen=True)
 class Partition1D:
@@ -112,19 +115,19 @@ def target_shares_from_alphas(alphas: Sequence[float]) -> np.ndarray:
     shares = np.asarray(alphas, dtype=float)
     if shares.ndim != 1 or shares.size == 0:
         raise ValueError("alphas must be a non-empty 1-D sequence")
-    if np.any((shares < 0.0) | (shares > 1.0)):
+    if ((shares < 0.0) | (shares > 1.0)).any():
         raise ValueError("all alpha values must lie within [0, 1]")
     num_pes = shares.size
     overloading = shares > 0.0
-    num_overloading = int(overloading.sum())
+    num_overloading = int(np.count_nonzero(overloading))
     if num_overloading == 0 or num_overloading == num_pes:
         return np.full(num_pes, 1.0 / num_pes)
-    target = np.empty(num_pes, dtype=float)
-    target[overloading] = (1.0 - shares[overloading]) / num_pes
+    requested = shares[overloading]
     # The share removed from the overloading PEs is divided evenly among the
     # non-overloading ones (the blue area of Fig. 1).
-    surplus = shares[overloading].sum() / num_pes
-    target[~overloading] = 1.0 / num_pes + surplus / (num_pes - num_overloading)
+    surplus = requested.sum() / num_pes
+    target = np.full(num_pes, 1.0 / num_pes + surplus / (num_pes - num_overloading))
+    target[overloading] = (1.0 - requested) / num_pes
     return target
 
 
@@ -160,7 +163,7 @@ def partition_contiguous(
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-D sequence")
-    if np.any(w < 0.0):
+    if (w < 0.0).any():
         raise ValueError("weights must all be >= 0")
     if w.size < num_parts:
         raise ValueError(
@@ -176,7 +179,7 @@ def partition_contiguous(
             raise ValueError(
                 f"target_shares must have length {num_parts}, got {shares.shape}"
             )
-        if np.any(shares < 0.0):
+        if (shares < 0.0).any():
             raise ValueError("target_shares must all be >= 0")
         total_share = shares.sum()
         if total_share <= 0.0:
@@ -184,7 +187,9 @@ def partition_contiguous(
         shares = shares / total_share
 
     total = w.sum()
-    prefix = np.concatenate([[0.0], np.cumsum(w)])
+    prefix = np.empty(w.size + 1)
+    prefix[0] = 0.0
+    np.add.accumulate(w, out=prefix[1:])
     if total <= 0.0:
         # Degenerate: no workload at all -- split items evenly by count.
         bounds = np.linspace(0, w.size, num_parts + 1).round().astype(int)
@@ -238,17 +243,16 @@ def _vectorized_cuts(
     """
     targets = cumulative_targets[: num_parts - 1]
     idx = np.searchsorted(prefix, targets, side="left")
-    cand = np.stack([idx - 1, idx, idx + 1], axis=1)
-    in_range = (cand >= 0) & (cand <= num_items)
-    dist = np.abs(prefix[np.clip(cand, 0, num_items)] - targets[:, None])
+    cand = idx[:, None] + _CANDIDATE_OFFSETS
+    dist = np.abs(prefix.take(cand, mode="clip") - targets[:, None])
     # Out-of-range candidates must not win; their clipped distance is fake.
-    dist[~in_range] = np.inf
-    best = cand[np.arange(num_parts - 1), dist.argmin(axis=1)]
+    # Viewed as unsigned, the index -1 is out of range too.
+    dist[cand.view(np.uint64) > num_items] = np.inf
+    best = idx + (dist.argmin(axis=1) - 1)
 
-    hi = num_items - (num_parts - 1 - np.arange(num_parts - 1))
-    lo = np.empty(num_parts - 1, dtype=np.int64)
-    lo[0] = 1
-    lo[1:] = best[:-1] + 1
-    if (best >= lo).all() and (best <= hi).all():
+    # Feasibility: cut p needs lo_p = cut_{p-1} + 1 <= cut_p (cuts strictly
+    # increase from 1) and cut_p <= hi_p = num_items - (num_parts - 1 - p);
+    # with strictly increasing cuts only the last upper bound can bind.
+    if best[0] >= 1 and best[-1] < num_items and (best[1:] > best[:-1]).all():
         return tuple(best.tolist())
     return None

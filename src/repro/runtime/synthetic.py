@@ -98,5 +98,5 @@ class SyntheticGrowthApplication:
     def advance(self) -> None:
         """Apply one iteration of linear growth."""
         self._loads += self.uniform_growth
-        self._loads[self._hot_mask] += self.hot_growth
+        np.add(self._loads, self.hot_growth, out=self._loads, where=self._hot_mask)
         self._iteration += 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchResult, BatchRunner
+from repro.lb.adaptive import ULBADegradationTrigger
 from repro.lb.registry import make_policy_pair
 from repro.runtime.synthetic import SyntheticGrowthApplication
 
@@ -124,3 +125,63 @@ class TestBatchResult:
         )
         times = runner.run(60).total_times()
         assert np.unique(times).size > 1
+
+
+class _PerReplicaULBATrigger(ULBADegradationTrigger):
+    """The ULBA trigger unchanged; as a subclass it routes the runner to the
+    generic path, which calls ``should_balance`` with a full context."""
+
+
+class TestTriggerFastPath:
+    """The vectorized trigger decision against ``should_balance`` itself."""
+
+    @staticmethod
+    def _run(trigger_type, use_gossip):
+        from repro.lb.ulba import ULBAPolicy
+        from repro.runtime.skeleton import initial_lb_cost_prior
+
+        num_columns = 16 * 8
+        # Different hot regions and growth rates: the replicas reach their
+        # trigger thresholds at different iterations, every ~10 iterations,
+        # with the ULBA overhead of Eq. 11 holding some candidates back.
+        apps = [
+            SyntheticGrowthApplication(
+                num_columns,
+                initial_load_per_column=load,
+                hot_regions=[(start, start + num_columns // 16)],
+                hot_growth=growth,
+            )
+            for load, start, growth in (
+                (100.0, 0, 0.05),
+                (50.0, 40, 0.1),
+                (200.0, 72, 0.2),
+                (100.0, 112, 0.4),
+            )
+        ]
+        prior = initial_lb_cost_prior(
+            apps[0].total_load() * apps[0].flop_per_load_unit, 16, 1.0e9
+        )
+        runner = BatchRunner(
+            16,
+            apps,
+            seeds=[3, 4, 5, 6],
+            workload_policies=[ULBAPolicy(0.4) for _ in apps],
+            trigger_policies=[trigger_type(0.4) for _ in apps],
+            use_gossip=use_gossip,
+            initial_lb_cost_estimates=prior,
+            bytes_per_load_unit=200_000.0,
+        )
+        return runner.run(100)
+
+    @pytest.mark.parametrize("use_gossip", [False, True])
+    def test_fast_ulba_trigger_matches_should_balance(self, use_gossip):
+        fast = self._run(ULBADegradationTrigger, use_gossip)
+        generic = self._run(_PerReplicaULBATrigger, use_gossip)
+        schedules = [result.trace.lb_iterations() for result in fast]
+        assert len(set(map(tuple, schedules))) > 1
+        assert schedules == [result.trace.lb_iterations() for result in generic]
+        assert fast.total_times().tolist() == generic.total_times().tolist()
+        for mine, ref in zip(fast, generic):
+            assert [r.decision for r in mine.lb_reports] == [
+                r.decision for r in ref.lb_reports
+            ]

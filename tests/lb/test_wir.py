@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.lb.wir import OverloadDetector, WIRDatabase, WIREstimate
+from repro.lb.wir import OverloadDetector, WIRDatabase, WIREstimate, _mean_std
 
 
 class TestWIREstimate:
@@ -197,6 +197,54 @@ class TestOverloadDetector:
         detector = OverloadDetector(threshold=3.0)
         flagged = [r for r in rates if detector.is_overloading(r, rates)]
         assert len(flagged) < max(1, len(rates) / 2)
+
+    @given(
+        rows=st.integers(min_value=1, max_value=6),
+        width=st.integers(min_value=1, max_value=70),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_mean_std_is_bitwise_numpy(self, rows, width, seed):
+        """The shared statistics kernel returns np.mean/np.std's floats."""
+        values = np.random.default_rng(seed).random((rows, width)) ** 4
+        means, stds = _mean_std(values)
+        assert means.tobytes() == values.mean(axis=1).tobytes()
+        assert stds.tobytes() == values.std(axis=1).tobytes()
+        mean, std = _mean_std(values[0])
+        assert (mean, std) == (values[0].mean(), values[0].std())
+
+    @given(
+        num=st.integers(min_value=2, max_value=48),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        constant=st.booleans(),
+    )
+    def test_mask_matches_per_rank_rule(self, num, seed, constant):
+        """The matrix mask equals the per-rank rule, for a shared view
+        (the broadcast fast path) and for per-rank views alike."""
+        rng = np.random.default_rng(seed)
+        detector = OverloadDetector(threshold=1.5)
+        shared = np.ones(num) if constant else rng.random(num) ** 6
+        views = {
+            "shared": np.broadcast_to(shared, (num, num)),
+            "per-rank": rng.random((num, num)) ** 6,
+        }
+        for matrix in views.values():
+            expected = [
+                detector.is_overloading(matrix[r, r], matrix[r]) for r in range(num)
+            ]
+            assert detector.overloading_mask_from_views(matrix).tolist() == expected
+        count = detector.overloading_count(shared)
+        assert count == len(detector.overloading_ranks(dict(enumerate(shared))))
+
+    def test_mask_threshold_boundary(self):
+        """At z exactly 3.0 (one outlier among 10) the mask flags the rank,
+        like is_overloading, for a shared and for a per-rank matrix."""
+        detector = OverloadDetector(threshold=3.0)
+        for p, expected in ((9, False), (10, True), (32, True)):
+            rates = np.array([0.0] * (p - 1) + [50.0])
+            for matrix in (np.broadcast_to(rates, (p, p)), np.tile(rates, (p, 1))):
+                flags = detector.overloading_mask_from_views(matrix).tolist()
+                assert flags == [False] * (p - 1) + [expected]
+            assert detector.overloading_count(rates) == int(expected)
 
 
 class TestWIREstimateArray:

@@ -12,6 +12,7 @@ from repro.partitioning.weighted import (
     partition_contiguous,
     target_shares_from_alphas,
 )
+from repro.runtime.reference import _partition_contiguous_ref
 
 
 class TestPartition1D:
@@ -191,3 +192,25 @@ class TestPartitionContiguous:
         p = partition_contiguous(np.ones(num_items), num_parts)
         sizes = p.part_sizes()
         assert sizes.max() - sizes.min() <= 1 + num_items // num_parts // 8
+
+    @given(
+        num_items=st.integers(min_value=1, max_value=120),
+        num_parts=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zero_fraction=st.sampled_from([0.0, 0.5, 0.9]),
+        with_shares=st.booleans(),
+    )
+    def test_property_matches_sequential_reference(
+        self, num_items, num_parts, seed, zero_fraction, with_shares
+    ):
+        """The vectorized cut placement picks exactly the cuts of the
+        sequential greedy loop, ties and empty columns included."""
+        if num_parts > num_items:
+            num_parts = num_items
+        rng = np.random.default_rng(seed)
+        weights = np.round(rng.random(num_items) * 4) / 2
+        weights[rng.random(num_items) < zero_fraction] = 0.0
+        shares = rng.random(num_parts) + 0.01 if with_shares else None
+        expected = _partition_contiguous_ref(weights, num_parts, shares)
+        got = partition_contiguous(weights, num_parts, shares)
+        assert got.boundaries == expected.boundaries
