@@ -38,7 +38,6 @@ how to suppress a finding with a justified `# repro: noqa[RULE]`.
 FAMILIES = [
     ("DET", "Determinism"),
     ("SPN", "Spawn-safety"),
-    ("HOT", "Hot-loop purity"),
     ("API", "API hygiene"),
     ("SUP", "Suppression hygiene"),
     ("FLOW", "Interprocedural dataflow"),

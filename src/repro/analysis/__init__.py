@@ -3,21 +3,23 @@
 ``repro.analysis`` is an AST lint layer with project-specific rules for the
 invariants the reproduction depends on:
 
-* **determinism** (DET001-DET005) -- seeded-RNG-only, no wall clock outside
-  the observability/resilience layers;
-* **spawn-safety** (SPN001-SPN002) -- picklable worker payloads, registry
-  writes only through registration APIs;
-* **hot-loop purity** (HOT001-HOT003) -- no Python loops, copies or fresh
-  allocations inside the profiled stages;
+* **determinism** (DET001-DET005, FLOW-RNG) -- seeded-RNG-only, no wall
+  clock outside the observability/resilience layers, and no
+  entropy-seeded generator reaching the simulation core through helpers;
+* **spawn-safety** (SPN002, FLOW-PKL, FLOW-MUT) -- registry writes only
+  through registration APIs, picklable worker payloads however wrapped,
+  no module-global write reachable from a worker;
+* **hot-loop purity** (FLOW-HOT) -- no Python loops, copies or fresh
+  allocations inside the profiled stages or anything they call;
 * **API hygiene** (API001-API002) -- EventBus names via ``EV_*`` constants,
   frozen configs written only in ``__init__``/``__post_init__``;
 * **suppression hygiene** (SUP001-SUP002) -- every ``# repro: noqa[...]``
-  must name a real rule and carry a justification;
-* **interprocedural dataflow** (FLOW-RNG, FLOW-HOT, FLOW-PKL, FLOW-MUT) --
-  the same invariants enforced *across* call boundaries by the
-  :mod:`repro.analysis.flow` layer: entropy-seeded generators laundered
-  through helpers, allocating callees of hot stages, unpicklable pool
-  payloads behind wrappers, worker-reachable module-global writes.
+  must name a real rule and carry a justification.
+
+The ``FLOW-*`` rules read the whole-program view of the
+:mod:`repro.analysis.flow` layer (symbol table, call graph, fixpoint
+summaries), so each invariant holds *across* call boundaries with one rule
+and one implementation.
 
 Run it as ``python -m repro lint`` (see ``docs/static-analysis.md``), or
 programmatically::
@@ -41,7 +43,6 @@ from repro.analysis import (
     rules_flow_mut,  # noqa: F401
     rules_flow_pkl,  # noqa: F401
     rules_flow_rng,  # noqa: F401
-    rules_hotloop,  # noqa: F401
     rules_spawn,  # noqa: F401
 )
 from repro.analysis.findings import SEVERITIES, Finding
@@ -51,18 +52,14 @@ from repro.analysis.framework import (
     LintRule,
     Suppression,
     all_rules,
-    apply_baseline,
-    baseline_payload,
     collect_files,
     get_rules,
     lint_file,
     lint_paths,
     lint_source,
-    load_baseline,
     parse_suppressions,
     register_rule,
     rule_ids,
-    stale_fingerprints,
 )
 from repro.analysis.report import (
     render,
@@ -80,15 +77,12 @@ __all__ = [
     "LintRule",
     "Suppression",
     "all_rules",
-    "apply_baseline",
-    "baseline_payload",
     "cache_counters",
     "collect_files",
     "get_rules",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "parse_suppressions",
     "register_rule",
     "render",
@@ -96,6 +90,5 @@ __all__ = [
     "render_sarif",
     "render_text",
     "rule_ids",
-    "stale_fingerprints",
     "summarize",
 ]

@@ -1,9 +1,9 @@
 """Finding and severity vocabulary of the static-analysis layer.
 
 A :class:`Finding` is one rule violation at one source location.  Findings
-are plain frozen dataclasses so every reporter (text, JSON, SARIF, the
-baseline store) serializes the same object, and so test fixtures can
-compare them structurally.
+are plain frozen dataclasses so every reporter (text, JSON, SARIF)
+serializes the same object, and so test fixtures can compare them
+structurally.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Any, Dict, Optional
 __all__ = ["SEVERITIES", "Finding"]
 
 #: Recognised severities, most severe first.  ``error`` findings fail the
-#: lint run; ``warning`` findings are reported but do not affect the exit
-#: code unless ``--strict-warnings`` promotes them.
+#: lint run; so do ``warning`` findings (``repro lint`` exits 1 on any
+#: unsuppressed finding) -- the split only grades them in reports.
 SEVERITIES = ("error", "warning")
 
 
@@ -54,14 +54,6 @@ class Finding:
     def location(self) -> str:
         """``path:line:col`` as printed by the text reporter."""
         return f"{self.path}:{self.line}:{self.col + 1}"
-
-    def fingerprint(self) -> str:
-        """Stable identity used by the baseline store.
-
-        Line numbers are deliberately excluded: editing an unrelated part
-        of a file must not resurrect a baselined finding.
-        """
-        return f"{self.path}::{self.rule}::{self.message}"
 
     def suppress(self, justification: str) -> "Finding":
         """A copy of this finding marked suppressed with ``justification``."""

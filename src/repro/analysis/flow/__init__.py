@@ -1,8 +1,8 @@
 """Interprocedural dataflow layer of :mod:`repro.analysis`.
 
-The PR-8 rules are single-file AST pattern matches; this subpackage grows
-them into a whole-program analysis so the same invariants hold *across*
-call boundaries:
+The single-file rules are AST pattern matches; this subpackage is the
+whole-program analysis that lets an invariant hold *across* call
+boundaries:
 
 * :mod:`repro.analysis.flow.symbols` -- project-wide symbol table: one
   :class:`~repro.analysis.flow.symbols.ModuleInfo` per file (functions,
@@ -14,8 +14,12 @@ call boundaries:
   for dynamic dispatch.
 * :mod:`repro.analysis.flow.engine` -- a small fixpoint dataflow engine:
   forward taint propagation over assignments/calls/returns and a
-  transitive purity analysis, both built on per-function summaries so the
-  whole-program pass is linear in call-graph size.
+  transitive purity analysis (with the one definition of a hot-path
+  impurity), both built on per-function summaries so the whole-program
+  pass is linear in call-graph size.
+* :mod:`repro.analysis.flow.pools` -- the spawn-boundary call shapes
+  (pool submissions, process/pool constructors) and the module-global
+  write scan.
 * :mod:`repro.analysis.flow.summaries` -- the summary dataclasses the
   engine computes and the rule families consume.
 
@@ -24,10 +28,11 @@ like the single-file rules):
 
 * ``FLOW-RNG`` -- seed-flow taint: entropy-seeded generators must not
   reach the simulation core;
-* ``FLOW-HOT`` -- transitive hot-loop purity: the profiled stages must be
-  allocation-free through their entire callee closure;
-* ``FLOW-PKL`` -- pool-submission pickle-safety across wrappers and
-  helper returns;
+* ``FLOW-HOT`` -- hot-loop purity: the profiled stages must be
+  allocation-free in their own bodies and through their entire callee
+  closure;
+* ``FLOW-PKL`` -- pool-submission pickle-safety, at the submission site
+  and across wrappers and helper returns;
 * ``FLOW-MUT`` -- module-global mutation reachable from worker entry
   points.
 """

@@ -11,12 +11,13 @@ Two engines share the call graph:
   call-graph size.  Sink crossings are reported at the *frontier*: the
   call expression where a tainted value meets a sink-reaching path, which
   is also where a suppression comment belongs.
-* :func:`run_purity` -- transitive allocation-freedom for the hot-path
-  rules: a local impurity scan per function (mirroring HOT001-003's
-  definition of impure: Python loops, ``list``/``.tolist`` copies,
-  comprehensions, numpy allocators) followed by a monotone closure over
-  callees.  Locally suppressed impurities are excluded from summaries, so
-  a justified ``# repro: noqa[HOT003]`` does not re-surface at every call
+* :func:`run_purity` -- transitive allocation-freedom for FLOW-HOT: a
+  local impurity scan per function followed by a monotone closure over
+  callees.  :func:`local_impurities` is the one definition of impure
+  (Python loops, ``list``/``.tolist`` copies, comprehensions, numpy
+  allocators) that both this closure and FLOW-HOT's per-site reports use.
+  Locally suppressed impurities are excluded from summaries, so a
+  justified ``# repro: noqa[FLOW-HOT]`` does not re-surface at every call
   site; ``@hot_path``-decorated functions are trusted leaves.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.flow.callgraph import CallGraph, CallSite, _FunctionScope
 from repro.analysis.flow.summaries import (
@@ -37,9 +38,14 @@ from repro.analysis.flow.summaries import (
     node_location,
 )
 from repro.analysis.flow.symbols import FunctionInfo, ModuleInfo
-from repro.analysis.rules_hotloop import _NP_ALLOCATORS
 
-__all__ = ["TaintSpec", "TaintResult", "run_taint", "run_purity"]
+__all__ = [
+    "TaintSpec",
+    "TaintResult",
+    "local_impurities",
+    "run_taint",
+    "run_purity",
+]
 
 #: Hard cap on fixpoint rounds (well above any real call-chain depth).
 _MAX_ROUNDS = 12
@@ -428,9 +434,77 @@ def run_taint(graph: CallGraph, spec: TaintSpec) -> TaintResult:
 # ----------------------------------------------------------------------
 # Transitive purity.
 # ----------------------------------------------------------------------
-#: Suppressing any of these rules on an impurity's line also removes it
-#: from the function's purity summary (the waiver travels up the graph).
-_PURITY_WAIVER_RULES = ("HOT001", "HOT002", "HOT003", "FLOW-HOT")
+#: Suppressing this rule on an impurity's line also removes it from the
+#: function's purity summary (the waiver travels up the graph).
+_PURITY_WAIVER_RULES = ("FLOW-HOT",)
+
+#: numpy constructors that allocate a fresh array per call.
+_NP_ALLOCATORS = frozenset(
+    {
+        "zeros",
+        "ones",
+        "empty",
+        "full",
+        "zeros_like",
+        "ones_like",
+        "empty_like",
+        "full_like",
+        "arange",
+        "linspace",
+        "concatenate",
+        "stack",
+        "vstack",
+        "hstack",
+        "column_stack",
+        "tile",
+        "repeat",
+        "copy",
+        "array",
+        "asarray",
+        "eye",
+    }
+)
+
+
+def _impurity_of(node: ast.AST, external: Optional[str]) -> Optional[str]:
+    """What makes ``node`` impure (``None`` when it is not).
+
+    ``external`` is the resolved dotted callee of a call node (``numpy.zeros``),
+    which is how ``np.zeros`` and ``from numpy import zeros`` both match.
+    """
+    if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+        return "runs a Python-level loop"
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        return "allocates via a comprehension"
+    if not isinstance(node, ast.Call):
+        return None
+    if isinstance(node.func, ast.Name) and node.func.id == "list":
+        return "copies via `list(...)`"
+    if isinstance(node.func, ast.Attribute) and node.func.attr == "tolist":
+        return "copies via `.tolist()`"
+    if external is not None:
+        module, _, name = external.partition(".")
+        if module == "numpy" and name in _NP_ALLOCATORS:
+            return f"allocates via `np.{name}(...)`"
+    return None
+
+
+def local_impurities(
+    graph: CallGraph, fn: FunctionInfo, nodes: Iterable[ast.AST]
+) -> Iterator[Tuple[ast.AST, str]]:
+    """``(node, description)`` for every impure node among ``nodes``.
+
+    ``nodes`` must lie inside ``fn`` so its call sites resolve them.
+    """
+    externals = {
+        id(site.node): site.external
+        for site in graph.sites_of(fn)
+        if site.external is not None
+    }
+    for node in nodes:
+        description = _impurity_of(node, externals.get(id(node)))
+        if description is not None:
+            yield node, description
 
 
 def _walk_own_body(fn: FunctionInfo) -> List[ast.AST]:
@@ -449,53 +523,20 @@ def _walk_own_body(fn: FunctionInfo) -> List[ast.AST]:
 def _local_impurity(
     graph: CallGraph, fn: FunctionInfo, module: ModuleInfo
 ) -> Optional[str]:
-    """First HOT-style impurity in the function's own body, or ``None``.
+    """Earliest unwaived impurity in the function's own body, or ``None``.
 
-    Mirrors HOT001-003: Python loops, ``list(...)``/``.tolist()`` copies,
-    comprehensions, numpy allocator calls.  Impurities on lines covered by
-    a justified suppression naming a purity rule are excluded, so audited
-    sites do not re-surface at their callers.
+    Impurities on lines covered by a justified ``noqa[FLOW-HOT]`` are
+    excluded, so audited sites do not re-surface at their callers.
     """
     suppressed = module.suppressed_lines(*_PURITY_WAIVER_RULES)
-    externals = {
-        id(site.node): site.external
-        for site in graph.sites_of(fn)
-        if site.external is not None
-    }
     worst: Optional[Tuple[int, int, str]] = None
-    for node in _walk_own_body(fn):
+    for node, description in local_impurities(graph, fn, _walk_own_body(fn)):
         line, col = node_location(node)
         if line in suppressed:
             continue
-        description: Optional[str] = None
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            description = "runs a Python-level loop"
-        elif isinstance(
-            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
-            description = "allocates via a comprehension"
-        elif isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) and node.func.id == "list":
-                description = "copies via `list(...)`"
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "tolist"
-            ):
-                description = "copies via `.tolist()`"
-            else:
-                external = externals.get(id(node))
-                if external is not None:
-                    parts = external.split(".")
-                    if (
-                        len(parts) == 2
-                        and parts[0] == "numpy"
-                        and parts[1] in _NP_ALLOCATORS
-                    ):
-                        description = f"allocates via `np.{parts[1]}(...)`"
-        if description is not None:
-            candidate = (line, col, description)
-            if worst is None or candidate < worst:
-                worst = candidate  # earliest in the file, deterministic
+        candidate = (line, col, description)
+        if worst is None or candidate < worst:
+            worst = candidate  # earliest in the file, deterministic
     return worst[2] if worst is not None else None
 
 

@@ -1,11 +1,12 @@
-"""Spawn-boundary helpers shared by FLOW-PKL and FLOW-MUT.
+"""Spawn-boundary helpers shared by FLOW-PKL, FLOW-MUT and SPN002.
 
-Both rule families care about the same call shapes SPN001 matches --
-pool submissions (``.submit``/``.apply_async``/...), ``Process``/``Pool``/
-``SupervisedPool`` constructors -- but from two angles: FLOW-PKL follows
-the *payload* expressions crossing the boundary, FLOW-MUT resolves the
-*worker callable* and walks the call graph from it.  This module detects
-the shapes once and offers both views.
+FLOW-PKL and FLOW-MUT care about the same call shapes -- pool submissions
+(``.submit``/``.apply_async``/...), ``Process``/``Pool``/``SupervisedPool``
+constructors -- but from two angles: FLOW-PKL follows the *payload*
+expressions crossing the boundary, FLOW-MUT resolves the *worker callable*
+and walks the call graph from it.  This module defines those shapes and
+the in-place mutator vocabulary once, detects submissions once and offers
+both views.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ from repro.analysis.flow.symbols import (
     ModuleInfo,
     _annotation_name,
 )
-from repro.analysis.rules_spawn import (
-    _CTOR_KEYWORDS,
-    _MUTATORS,
-    _SUBMIT_METHODS,
-    _callable_name,
-)
 
 __all__ = [
     "Submission",
@@ -36,8 +31,56 @@ __all__ = [
     "submission_of",
 ]
 
+#: Pool/executor methods whose first positional argument crosses the
+#: process boundary.
+_SUBMIT_METHODS = frozenset(
+    {
+        "submit",
+        "apply",
+        "apply_async",
+        "map_async",
+        "imap",
+        "imap_unordered",
+        "starmap",
+        "starmap_async",
+    }
+)
+
+#: Constructor-name suffix -> keyword whose value crosses the boundary.
+_CTOR_KEYWORDS = {
+    "Process": ("target",),
+    "Pool": ("initializer",),
+    "SupervisedPool": ("initializer",),
+}
+
+#: Method calls that mutate a dict/list/set in place.
+_MUTATORS = frozenset(
+    {
+        "append",
+        "add",
+        "update",
+        "setdefault",
+        "pop",
+        "popitem",
+        "clear",
+        "remove",
+        "discard",
+        "extend",
+        "insert",
+    }
+)
+
 #: Constructor keywords whose values are worker *payload* (not callables).
 _PAYLOAD_KEYWORDS = frozenset({"args", "kwds", "kwargs", "initargs"})
+
+
+def _callable_name(node: ast.AST) -> str:
+    """Terminal name of a call target (``SupervisedPool`` for ``rp.SupervisedPool``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return ""
 
 
 @dataclass

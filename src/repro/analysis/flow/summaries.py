@@ -102,8 +102,8 @@ class PuritySummary:
     ``impurity`` is ``None`` for allocation-free functions; otherwise a
     stable description of the first impurity found, prefixed with the
     callee chain when it lives further down the call graph.  The
-    description deliberately carries no line numbers so baseline
-    fingerprints survive unrelated edits.
+    description deliberately carries no line numbers, so finding messages
+    stay stable under unrelated edits.
     """
 
     impurity: Optional[str] = None

@@ -567,14 +567,15 @@ class FlowProject:
 
     @classmethod
     def from_paths(cls, paths: Sequence[Union[str, Path]]) -> "FlowProject":
-        """Project over files on disk (unreadable files are skipped)."""
+        """Project over files on disk (unreadable or non-UTF-8 files are
+        skipped; :func:`~repro.analysis.framework.lint_paths` reports them)."""
         files: List[Tuple[str, str]] = []
         for path in paths:
             try:
                 files.append(
                     (str(path), Path(path).read_text(encoding="utf-8"))
                 )
-            except OSError:
+            except (OSError, UnicodeDecodeError):
                 continue
         return cls(files)
 

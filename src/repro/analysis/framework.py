@@ -16,18 +16,15 @@ The pieces every rule shares:
   containing only the comment applies to the next line, so long statements
   can be annotated without exceeding line length.
 * :func:`lint_source` / :func:`lint_file` / :func:`lint_paths` -- the
-  drivers that parse, run every selected rule and apply suppressions.
-* baselines -- :func:`load_baseline` / :func:`apply_baseline` /
-  :func:`baseline_payload` grandfather known findings (keyed by a
-  line-number-free fingerprint) so the linter can be adopted incrementally
-  on a dirty tree.
+  drivers that parse, run every selected rule and apply suppressions.  A
+  file that cannot be read or decoded is a ``SYN001`` finding, never a
+  crash and never a silent skip.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -41,21 +38,18 @@ __all__ = [
     "LintRule",
     "Suppression",
     "all_rules",
-    "apply_baseline",
-    "baseline_payload",
     "collect_files",
     "get_rules",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "parse_suppressions",
     "register_rule",
     "rule_ids",
-    "stale_fingerprints",
 ]
 
-#: Rule id of the syntax-error pseudo-finding (a file the parser rejects).
+#: Rule id of the unparsable-file pseudo-finding (a file that cannot be
+#: read, decoded as UTF-8 or parsed).
 SYNTAX_RULE = "SYN001"
 #: Rule id of a suppression carrying no justification text.
 MISSING_JUSTIFICATION_RULE = "SUP001"
@@ -413,6 +407,21 @@ def lint_source(
     return _apply_suppressions(display, ctx.findings, parse_suppressions(source))
 
 
+def _read_source(path: Path) -> Union[str, Finding]:
+    """The file's text, or a ``SYN001`` finding saying why it is unreadable."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return Finding(
+            rule=SYNTAX_RULE,
+            severity="error",
+            path=str(path),
+            line=1,
+            col=0,
+            message=f"unreadable source: {exc}",
+        )
+
+
 def lint_file(
     path: Union[str, Path],
     *,
@@ -420,7 +429,9 @@ def lint_file(
     project: Optional[object] = None,
 ) -> List[Finding]:
     """Lint one file on disk."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_source(Path(path))
+    if isinstance(text, Finding):
+        return [text]
     return lint_source(text, path, rules=rules, project=project)
 
 
@@ -442,97 +453,24 @@ def lint_paths(
     paths: Sequence[Union[str, Path]],
     *,
     rules: Optional[Sequence[LintRule]] = None,
-    build_project: bool = True,
 ) -> List[Finding]:
     """Lint files and directory trees (``*.py``, sorted, deterministic).
 
     All files of the run form one :class:`~repro.analysis.flow.symbols.FlowProject`
     shared by every per-file rule invocation, so the FLOW-* families see
-    taint that crosses module boundaries.  ``build_project=False`` skips
-    the whole-program pass (the CLI's ``--no-flow``).
+    taint that crosses module boundaries.
     """
-    files = collect_files(paths)
-    sources: List[Tuple[str, str]] = []
-    for file in files:
-        try:
-            sources.append((str(file), file.read_text(encoding="utf-8")))
-        except OSError:
-            continue
-    project: Optional[object] = None
-    if build_project:
-        # Imported here: the flow layer builds on this framework module.
-        from repro.analysis.flow.symbols import FlowProject
+    # Imported here: the flow layer builds on this framework module.
+    from repro.analysis.flow.symbols import FlowProject
 
-        project = FlowProject(sources)
+    texts = [(str(file), _read_source(file)) for file in collect_files(paths)]
+    project = FlowProject(
+        [(path, text) for path, text in texts if isinstance(text, str)]
+    )
     findings: List[Finding] = []
-    for path, source in sources:
-        findings.extend(
-            lint_source(source, path, rules=rules, project=project)
-        )
+    for path, text in texts:
+        if isinstance(text, Finding):
+            findings.append(text)
+        else:
+            findings.extend(lint_source(text, path, rules=rules, project=project))
     return findings
-
-
-# ----------------------------------------------------------------------
-# Baselines.
-# ----------------------------------------------------------------------
-def baseline_payload(findings: Sequence[Finding]) -> Dict[str, object]:
-    """The JSON payload ``--write-baseline`` persists.
-
-    Fingerprints are counted, not just collected: two distinct findings of
-    the same rule+message in one file consume two baseline slots, so fixing
-    one of them surfaces the other instead of hiding it forever.
-    """
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        if finding.suppressed:
-            continue
-        key = finding.fingerprint()
-        counts[key] = counts.get(key, 0) + 1
-    return {"version": 1, "fingerprints": counts}
-
-
-def load_baseline(path: Union[str, Path]) -> Dict[str, int]:
-    """Load a baseline file; raises ``ValueError`` on a malformed one."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != 1
-        or not isinstance(payload.get("fingerprints"), dict)
-    ):
-        raise ValueError(f"{path} is not a repro-lint baseline file")
-    return {str(key): int(value) for key, value in payload["fingerprints"].items()}
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Dict[str, int]
-) -> List[Finding]:
-    """Drop findings the baseline grandfathers (oldest-first per key)."""
-    budget = dict(baseline)
-    kept: List[Finding] = []
-    for finding in findings:
-        key = finding.fingerprint()
-        if not finding.suppressed and budget.get(key, 0) > 0:
-            budget[key] -= 1
-            continue
-        kept.append(finding)
-    return kept
-
-
-def stale_fingerprints(
-    findings: Sequence[Finding], baseline: Dict[str, int]
-) -> Dict[str, int]:
-    """Baseline slots no current finding consumes (drift detection).
-
-    Returns ``fingerprint -> unused count`` for every baseline entry whose
-    grandfathered finding has since been fixed (or whose message changed).
-    A drifting baseline silently over-grants budget, so CI fails on it and
-    asks for a ``--write-baseline`` refresh.
-    """
-    budget = dict(baseline)
-    for finding in findings:
-        if finding.suppressed:
-            continue
-        key = finding.fingerprint()
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-    return {key: count for key, count in sorted(budget.items()) if count > 0}

@@ -1,11 +1,12 @@
-"""Interprocedural pool-submission pickle-safety rule (FLOW-PKL).
+"""Pool-submission pickle-safety rule (FLOW-PKL).
 
-SPN001 flags a lambda or local def written *directly* at the submission
-site.  This rule follows the payload: anything unpicklable by construction
--- lambdas, locally defined functions/classes, open file handles, thread
-locks -- is tainted, taint survives `functools.partial`, container
-literals and helper returns, and a finding fires where the value crosses
-a pool/process boundary, however many wrappers deep.
+Spawn-start workers unpickle everything they receive.  This rule follows
+the payload: anything unpicklable by construction -- lambdas, locally
+defined functions/classes, open file handles, thread locks -- is tainted,
+taint survives `functools.partial`, container literals and helper
+returns, and a finding fires where the value crosses a pool/process
+boundary, whether it is written right at the submission or laundered
+through any number of wrappers.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Tuple
 
-from repro.analysis.flow.callgraph import (
-    CallGraph,
-    CallSite,
-    _FunctionScope,
-    build_callgraph,
-)
+from repro.analysis.flow.callgraph import CallSite, _FunctionScope, build_callgraph
 from repro.analysis.flow.engine import TaintResult, TaintSpec, run_taint
 from repro.analysis.flow.pools import submission_of
 from repro.analysis.flow.symbols import FlowProject, ModuleInfo
@@ -50,9 +46,6 @@ _PASSTHROUGH = frozenset(
 
 class _PickleSpec(TaintSpec):
     family = "FLOW-PKL"
-
-    def __init__(self, graph: CallGraph) -> None:
-        self.graph = graph
 
     def call_source(self, site: CallSite) -> Optional[str]:
         if site.external == "open":
@@ -89,24 +82,12 @@ class _PickleSpec(TaintSpec):
         submission = submission_of(site)
         if submission is None:
             return []
-        scope = self.graph.scope_of(site.caller)
-        out: List[Tuple[str, ast.expr]] = []
-        for expr in submission.crossings:
-            # A bare lambda / local-def name at the boundary is SPN001's
-            # finding; this rule owns everything laundered at least once.
-            if isinstance(expr, ast.Lambda):
-                continue
-            if isinstance(expr, ast.Name) and (
-                expr.id in scope.nested_defs or expr.id in scope.lambda_locals
-            ):
-                continue
-            out.append((submission.description, expr))
-        return out
+        return [(submission.description, expr) for expr in submission.crossings]
 
 
 def _compute(project: FlowProject) -> TaintResult:
     graph = project.analysis("callgraph", build_callgraph)
-    return run_taint(graph, _PickleSpec(graph))
+    return run_taint(graph, _PickleSpec())
 
 
 @register_rule
@@ -116,11 +97,14 @@ class PoolPayloadPickleRule(LintRule):
     severity = "error"
     rationale = (
         "Spawn-start workers unpickle everything they receive; a lambda "
-        "wrapped in `functools.partial`, a factory-returned closure or a "
-        "lock smuggled inside a tuple all pass SPN001's site check and "
-        "explode at runtime. This rule taints unpicklable constructions "
-        "at birth and follows them through wrappers, containers and "
-        "helper returns to the submission boundary."
+        "or local def submitted to a pool, the same lambda wrapped in "
+        "`functools.partial`, a factory-returned closure or a lock "
+        "smuggled inside a tuple all pass on fork platforms and explode "
+        "under spawn (macOS/Windows defaults, and this repo's campaign "
+        "default). This rule taints unpicklable constructions at birth and "
+        "follows them through wrappers, containers and helper returns to "
+        "the submission boundary. Worker payloads must be module-level "
+        "callables and plain data."
     )
 
     def check(self, ctx: FileContext) -> None:

@@ -1,166 +1,30 @@
-"""Spawn-safety rules (SPN001-SPN002).
+"""Spawn-safety rule SPN002: registry writes only through registration APIs.
 
-The campaign layer executes cells in spawn-start ``multiprocessing`` workers
-(PR 5 made spawn the default after fork-related registry corruption).  Two
-invariants follow:
-
-* everything that crosses the process boundary must be picklable --
-  lambdas and functions defined inside another function are not (SPN001);
-* module-level registries are re-imported fresh in each worker, so writing
-  to one outside its registration API silently diverges parent and child
-  state (the exact bug class behind PR 5's spawn-registry fix) (SPN002).
+The campaign layer executes cells in spawn-start ``multiprocessing``
+workers.  Module-level registries are re-imported fresh in each worker, so
+writing to one outside its registration API silently diverges parent and
+child state -- the exact bug class behind the spawn-registry fix.  This
+rule catches such writes wherever they happen, parent side included;
+FLOW-MUT only sees writes reachable from a worker entry point, and
+FLOW-PKL owns the other spawn invariant (picklable payloads).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import FrozenSet, List, Optional, Set
+from typing import List, Optional, Set
 
+from repro.analysis.flow.pools import _MUTATORS, _callable_name
 from repro.analysis.framework import FileContext, LintRule, register_rule
 
-__all__ = ["SpawnUnsafeCallableRule", "RegistryMutationRule"]
-
-#: Pool/executor methods whose first positional argument crosses the
-#: process boundary.
-_SUBMIT_METHODS = frozenset(
-    {
-        "submit",
-        "apply",
-        "apply_async",
-        "map_async",
-        "imap",
-        "imap_unordered",
-        "starmap",
-        "starmap_async",
-    }
-)
-
-#: Constructor-name suffix -> keyword whose value crosses the boundary.
-_CTOR_KEYWORDS = {
-    "Process": ("target",),
-    "Pool": ("initializer",),
-    "SupervisedPool": ("initializer",),
-}
+__all__ = ["RegistryMutationRule"]
 
 #: Function-name pattern allowed to mutate module-level registries.
 _REGISTRATION_API = re.compile(r"^_?(register|unregister|clear|reset)")
 
 #: Upper-case module-global naming convention that marks a registry.
 _REGISTRY_NAME = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
-
-#: Method calls that mutate a dict/list/set in place.
-_MUTATORS = frozenset(
-    {
-        "append",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "clear",
-        "remove",
-        "discard",
-        "extend",
-        "insert",
-    }
-)
-
-
-def _callable_name(node: ast.AST) -> str:
-    """Terminal name of a call target (``SupervisedPool`` for ``rp.SupervisedPool``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
-
-
-class _LocalCallableScope:
-    """Names bound to spawn-unsafe callables inside one function."""
-
-    def __init__(self, func: ast.AST) -> None:
-        self.local_defs: Set[str] = set()
-        body = getattr(func, "body", [])
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self.local_defs.add(node.name)
-                elif isinstance(node, ast.Assign) and isinstance(
-                    node.value, ast.Lambda
-                ):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            self.local_defs.add(target.id)
-
-
-@register_rule
-class SpawnUnsafeCallableRule(LintRule):
-    rule_id = "SPN001"
-    name = "spawn-unsafe-callable"
-    severity = "error"
-    rationale = (
-        "Lambdas and locally-defined functions cannot be pickled to a "
-        "spawn-start worker: the submit succeeds on fork platforms and "
-        "explodes on spawn (macOS/Windows defaults, and this repo's "
-        "campaign default since PR 5). Worker payloads must be module-level "
-        "functions."
-    )
-
-    def check(self, ctx: FileContext) -> None:
-        # Walk with an explicit scope stack: names bound to local defs and
-        # lambdas are visible to the function that binds them and (via
-        # closures) to everything nested inside it.  Each Call is visited
-        # exactly once, under the deepest scope that encloses it.
-        def visit(node: ast.AST, local_defs: FrozenSet[str]) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    scope = _LocalCallableScope(child)
-                    visit(child, local_defs | scope.local_defs)
-                    continue
-                if isinstance(child, ast.Call):
-                    self._check_call(ctx, child, local_defs)
-                visit(child, local_defs)
-
-        visit(ctx.tree, frozenset())
-
-    def _check_call(
-        self, ctx: FileContext, node: ast.Call, local_defs: FrozenSet[str]
-    ) -> None:
-        candidates: List[ast.AST] = []
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SUBMIT_METHODS
-            and node.args
-        ):
-            candidates.append(node.args[0])
-        ctor = _callable_name(node.func)
-        for suffix, keywords in _CTOR_KEYWORDS.items():
-            if ctor.endswith(suffix):
-                for keyword in node.keywords:
-                    if keyword.arg in keywords:
-                        candidates.append(keyword.value)
-                if suffix == "SupervisedPool" and node.args:
-                    # First positional arg of SupervisedPool is the worker fn.
-                    candidates.append(node.args[0])
-        for candidate in candidates:
-            if isinstance(candidate, ast.Lambda):
-                ctx.report(
-                    candidate,
-                    "lambda crosses the process boundary; spawn-start "
-                    "workers cannot unpickle it -- use a module-level "
-                    "function",
-                )
-            elif (
-                isinstance(candidate, ast.Name)
-                and candidate.id in local_defs
-            ):
-                ctx.report(
-                    candidate,
-                    f"locally-defined callable `{candidate.id}` crosses the "
-                    "process boundary; spawn-start workers cannot unpickle "
-                    "it -- move it to module level",
-                )
 
 
 @register_rule

@@ -425,9 +425,9 @@ class BatchRunner:
         starts = self._stripe_starts[replica]
         if starts is not None:
             return np.add.reduceat(column_loads, starts)
-        # repro: noqa[HOT003] -- degenerate-partition fallback: reached only when a stripe is empty, never on the steady-state path
+        # repro: noqa[FLOW-HOT] -- degenerate-partition fallback: reached only when a stripe is empty, never on the steady-state path
         bounds = np.asarray(self.partitions[replica].partition.boundaries)
-        # repro: noqa[HOT003] -- same fallback path; the reduceat fast path above serves every non-degenerate iteration
+        # repro: noqa[FLOW-HOT] -- same fallback path; the reduceat fast path above serves every non-degenerate iteration
         prefix = np.concatenate(([0.0], np.cumsum(column_loads)))
         return prefix[bounds[1:]] - prefix[bounds[:-1]]
 
@@ -456,9 +456,9 @@ class BatchRunner:
         if self._concat_starts is not None:
             flat = np.add.reduceat(self._cols_buf.reshape(-1), self._concat_starts)
             return flat.reshape(self.num_replicas, self.num_pes)
-        # repro: noqa[HOT003] -- degenerate-partition fallback: the concatenated reduceat above serves every non-degenerate iteration
+        # repro: noqa[FLOW-HOT] -- degenerate-partition fallback: the concatenated reduceat above serves every non-degenerate iteration
         return np.stack(
-            # repro: noqa[HOT003] -- same fallback path as the stack above
+            # repro: noqa[FLOW-HOT] -- same fallback path as the stack above
             [
                 self._stripe_loads(r, self._cols_buf[r])
                 for r in range(self.num_replicas)
@@ -467,7 +467,7 @@ class BatchRunner:
 
     def _fill_columns(self) -> None:
         """Copy every application's current column loads into the buffer."""
-        # repro: noqa[HOT001] -- O(R) calls into per-replica application objects; column_loads() is a Python-protocol method, the copy itself is one vectorized row assignment per replica
+        # repro: noqa[FLOW-HOT] -- O(R) calls into per-replica application objects; column_loads() is a Python-protocol method, the copy itself is one vectorized row assignment per replica
         for row, column_loads in self._column_sources:
             row[...] = column_loads()
 
@@ -483,7 +483,7 @@ class BatchRunner:
         workloads = stripe_loads * self.applications[replica].flop_per_load_unit
         return LBContext(
             iteration=iteration,
-            # repro: noqa[HOT002] -- LBContext's contract is a tuple of Python floats; built once per LB decision, not per iteration
+            # repro: noqa[FLOW-HOT] -- LBContext's contract is a tuple of Python floats; built once per LB decision, not per iteration
             pe_workloads=tuple(workloads.tolist()),
             wir_views=self.wir_db.replica(replica).views(),
             last_lb_iteration=int(self._last_lb_arr[replica]),
@@ -629,7 +629,7 @@ class BatchRunner:
             pe_times_buf[:, iteration] = pe_times
             elapsed_buf[:, iteration] = elapsed
             timestamp_buf[:, iteration] = end
-            # repro: noqa[HOT001] -- two scalar attribute bumps per replica on plain-Python comm counters; vectorizing would need an array-backed facade for bookkeeping only
+            # repro: noqa[FLOW-HOT] -- two scalar attribute bumps per replica on plain-Python comm counters; vectorizing would need an array-backed facade for bookkeeping only
             for cluster in self.clusters:
                 cluster.comm.num_collectives += 1
                 cluster.comm.comm_time += sync_cost
@@ -638,7 +638,7 @@ class BatchRunner:
                 t0 = prof.start()
 
             # Application dynamics (per replica: each owns its instance).
-            # repro: noqa[HOT001] -- advance() is the application protocol boundary: each replica owns an opaque Python object; dynamics cannot be batched without changing the public StripedApplication protocol
+            # repro: noqa[FLOW-HOT] -- advance() is the application protocol boundary: each replica owns an opaque Python object; dynamics cannot be batched without changing the public StripedApplication protocol
             for app in self.applications:
                 app.advance()
             if prof is not None:
@@ -681,7 +681,7 @@ class BatchRunner:
                     & (degradations >= base_thresholds)
                 )
                 fired = []
-                # repro: noqa[HOT001] -- iterates only the trigger *candidates* (vectorized pre-filter above); empty on almost every iteration
+                # repro: noqa[FLOW-HOT] -- iterates only the trigger *candidates* (vectorized pre-filter above); empty on almost every iteration
                 for r in candidates:
                     r = int(r)
                     threshold = float(base_thresholds[r])
@@ -699,7 +699,7 @@ class BatchRunner:
                                 trigger.alpha
                                 * n
                                 / (P - n)
-                                # repro: noqa[HOT002] -- sequential Python-float sum is bit-identical to ULBADegradationTrigger's tuple sum; np.sum's pairwise summation rounds differently
+                                # repro: noqa[FLOW-HOT] -- sequential Python-float sum is bit-identical to ULBADegradationTrigger's tuple sum; np.sum's pairwise summation rounds differently
                                 * sum(workloads.tolist())
                                 / (state.speed * P)
                             )
@@ -708,7 +708,7 @@ class BatchRunner:
                 np.copyto(stripe_loads, new_stripe_loads)
                 if prof is not None:
                     prof.stop("lb_decide", t0)
-                # repro: noqa[HOT001] -- iterates only replicas whose trigger fired; LB steps are rare by design (degradation-gated)
+                # repro: noqa[FLOW-HOT] -- iterates only replicas whose trigger fired; LB steps are rare by design (degradation-gated)
                 for r in fired:
                     t0 = prof.start() if prof is not None else 0
                     self._execute_lb_step(  # repro: noqa[FLOW-HOT] -- LB-step cadence: reached only for replicas whose degradation trigger fired
@@ -717,7 +717,7 @@ class BatchRunner:
                     if prof is not None:
                         prof.stop("lb_apply", t0)
             else:
-                # repro: noqa[HOT001] -- generic-trigger fallback: custom trigger policies are per-replica Python objects; the vectorized fast path above covers the paper's trigger family
+                # repro: noqa[FLOW-HOT] -- generic-trigger fallback: custom trigger policies are per-replica Python objects; the vectorized fast path above covers the paper's trigger family
                 for r in range(R):
                     context = self._build_context(r, iteration, new_stripe_loads[r])
                     fire = self.trigger_policies[r].should_balance(context)

@@ -797,30 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: every registered rule)",
     )
     lint_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline JSON of grandfathered findings to subtract",
-    )
-    lint_parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write the current unsuppressed findings as a baseline and exit 0",
-    )
-    lint_parser.add_argument(
-        "--strict-baseline",
-        action="store_true",
-        help="with --baseline: also fail (exit 1) when baseline entries no "
-        "longer match any current finding (drift)",
-    )
-    lint_parser.add_argument(
-        "--no-flow",
-        action="store_true",
-        help="skip the interprocedural FLOW-* rules and the whole-program "
-        "project pass (faster; per-file rules only)",
-    )
-    lint_parser.add_argument(
         "--callgraph-out",
         default=None,
         metavar="FILE",
@@ -865,22 +841,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"repro lint: error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.strict_baseline and args.baseline is None:
-        print(
-            "repro lint: error: --strict-baseline requires --baseline",
-            file=sys.stderr,
-        )
-        return 2
-    if args.no_flow:
-        pool = list(selected) if selected is not None else analysis.all_rules()
-        selected = [
-            rule for rule in pool if not rule.rule_id.startswith("FLOW-")
-        ]
     paths = args.paths or [str(Path(__file__).resolve().parent)]
     try:
-        findings = analysis.lint_paths(
-            paths, rules=selected, build_project=not args.no_flow
-        )
+        findings = analysis.lint_paths(paths, rules=selected)
     except FileNotFoundError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
@@ -901,60 +864,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.write_baseline is not None:
-        payload = analysis.baseline_payload(findings)
-        try:
-            Path(args.write_baseline).write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        except OSError as exc:
-            print(
-                f"repro lint: error: cannot write baseline: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        count = sum(payload["fingerprints"].values())  # type: ignore[union-attr]
-        print(f"wrote baseline with {count} finding(s) to {args.write_baseline}")
-        return 0
-    stale: Dict[str, int] = {}
-    if args.baseline is not None:
-        if not Path(args.baseline).is_file():
-            print(
-                f"repro lint: error: baseline file '{args.baseline}' does "
-                "not exist; create it with --write-baseline",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            baseline_map = analysis.load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"repro lint: error: {exc}", file=sys.stderr)
-            return 2
-        stale = analysis.stale_fingerprints(findings, baseline_map)
-        findings = analysis.apply_baseline(findings, baseline_map)
     report = analysis.render(
         findings, args.format, show_suppressed=args.show_suppressed
     )
     if args.output is not None:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
+        try:
+            Path(args.output).write_text(report + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"repro lint: error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         print(report)
     counts = analysis.summarize(findings)
-    exit_code = 1 if counts["errors"] or counts["warnings"] else 0
-    if args.strict_baseline and stale:
-        for key, unused in sorted(stale.items()):
-            print(
-                f"repro lint: stale baseline entry ({unused} unused): {key}",
-                file=sys.stderr,
-            )
-        print(
-            f"repro lint: baseline drift: {len(stale)} stale "
-            "fingerprint(s); refresh with --write-baseline",
-            file=sys.stderr,
-        )
-        exit_code = max(exit_code, 1)
-    return exit_code
+    return 1 if counts["errors"] or counts["warnings"] else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,9 +1,9 @@
 """Interprocedural FLOW-* rules over multi-file fixture packages.
 
 Every true-positive fixture here splits its violation across a module
-boundary and asserts two things: the FLOW rule catches it, and the
-corresponding single-file PR-8 rule (DET002 / HOT001-003 / SPN001 /
-SPN002) provably does not -- the whole reason the dataflow layer exists.
+boundary and asserts that the FLOW rule catches it; where a single-file
+rule guards the same invariant (DET002 / SPN002), it also asserts that
+rule provably does not -- the whole reason the dataflow layer exists.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def test_flow_rng_suppression_works(tmp_path):
 
 _HOT_TP = {
     # `repro/batch/runner.py` + `BatchRunner.run` is a declared hot region;
-    # the allocation lives one module away, where HOT003 never looks.
+    # the allocation lives one module away, outside every hot region.
     "repro/batch/helpers.py": (
         "import numpy as np\n"
         "\n"
@@ -151,9 +151,35 @@ def test_flow_hot_catches_transitive_allocation(tmp_path):
     (finding,) = hit["FLOW-HOT"]
     assert finding.path.endswith("repro/batch/runner.py")
     assert "refresh" in finding.message and "np.zeros" in finding.message
-    # The single-file hot-loop rules provably miss the callee's allocation.
-    for hot in ("HOT001", "HOT002", "HOT003"):
-        assert hot not in hit, hit.get(hot)
+
+
+def test_flow_hot_reports_each_site_and_suppresses_per_line(tmp_path):
+    # One hot region with a local allocation and a call to an allocating
+    # helper in another module: two findings, each at its own line.
+    files = dict(_HOT_TP)
+    files["repro/batch/runner.py"] = (
+        "import numpy as np\n"
+        "from repro.batch.helpers import refresh\n"
+        "\n"
+        "class BatchRunner:\n"
+        "    def run(self, iterations):\n"
+        "        for iteration in range(iterations):\n"
+        "            scratch = np.zeros(8)\n"
+        "            self.state = refresh(scratch)\n"
+    )
+    hit = _rules_hit(_lint(tmp_path, files))
+    assert sorted(hit) == ["FLOW-HOT"], sorted(hit)
+    local, call = sorted(hit["FLOW-HOT"], key=lambda f: f.line)
+    assert (local.line, call.line) == (7, 8)
+    assert "np.zeros" in local.message and "refresh" not in local.message
+    assert "refresh" in call.message
+
+    files["repro/batch/runner.py"] = files["repro/batch/runner.py"].replace(
+        "np.zeros(8)\n",
+        "np.zeros(8)  # repro: noqa[FLOW-HOT] -- fixture: sized once per run\n",
+    )
+    findings = [f for f in _lint(tmp_path, files) if f.rule == "FLOW-HOT"]
+    assert [(f.line, f.suppressed) for f in findings] == [(7, True), (8, False)]
 
 
 def test_flow_hot_clean_when_callee_is_allocation_free(tmp_path):
@@ -229,8 +255,6 @@ def test_flow_pkl_catches_wrapped_lambda(tmp_path):
     (finding,) = hit["FLOW-PKL"]
     assert finding.path.endswith("repro/launch.py")
     assert "lambda" in finding.message
-    # SPN001 only sees lambdas written directly at the submission site.
-    assert "SPN001" not in hit, hit.get("SPN001")
 
 
 def test_flow_pkl_clean_for_module_level_callable(tmp_path):
@@ -264,7 +288,6 @@ def test_flow_pkl_catches_lock_in_payload_tuple(tmp_path):
     hit = _rules_hit(_lint(tmp_path, files))
     assert "FLOW-PKL" in hit, sorted(hit)
     assert "threading.Lock" in hit["FLOW-PKL"][0].message
-    assert "SPN001" not in hit
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Framework behaviour: suppressions, baselines, drivers, reporters."""
+"""Framework behaviour: suppressions, drivers, reporters."""
 
 from __future__ import annotations
 
@@ -8,12 +8,9 @@ import pytest
 
 from repro.analysis import (
     Finding,
-    apply_baseline,
-    baseline_payload,
     get_rules,
     lint_paths,
     lint_source,
-    load_baseline,
     parse_suppressions,
     render,
     render_json,
@@ -93,9 +90,9 @@ class TestSuppressions:
         assert parse_suppressions(source) == []
 
     def test_parse_suppressions_fields(self):
-        source = "# repro: noqa[DET001,HOT002] -- two rules at once\nx = 1\n"
+        source = "# repro: noqa[DET001,FLOW-HOT] -- two rules at once\nx = 1\n"
         (suppression,) = parse_suppressions(source)
-        assert suppression.rules == ("DET001", "HOT002")
+        assert suppression.rules == ("DET001", "FLOW-HOT")
         assert suppression.line == 1
         assert suppression.applies_to == 2
         assert suppression.justification == "two rules at once"
@@ -116,6 +113,26 @@ class TestDrivers:
         (tmp_path / "pkg" / "b.py").write_text("x = 1\n")
         findings = lint_paths([tmp_path])
         assert [f.rule for f in findings] == ["DET001"]
+
+    def test_non_utf8_file_becomes_syn001(self, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "a.py").write_bytes(b"x = '\xff'\n")
+        (tmp_path / "pkg" / "b.py").write_text(_BAD)
+        findings = lint_paths([tmp_path])
+        assert [(f.rule, f.path.rsplit("/", 1)[-1]) for f in findings] == [
+            (SYNTAX_RULE, "a.py"),
+            ("DET001", "b.py"),
+        ]
+        assert findings[0].severity == "error"
+        assert "unreadable source" in findings[0].message
+
+    def test_unreadable_file_becomes_syn001_not_a_skip(self, tmp_path):
+        # A directory named like a module matches the *.py walk but raises
+        # OSError on read; lint must not pass a file it never read.
+        (tmp_path / "pkg" / "odd.py").mkdir(parents=True)
+        (finding,) = lint_paths([tmp_path])
+        assert finding.rule == SYNTAX_RULE
+        assert finding.path.endswith("odd.py")
 
     def test_lint_paths_missing_path_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -138,42 +155,6 @@ class TestDrivers:
         # Paths outside any `repro` package keep their plain posix form
         # (path-scoped rules then simply never match).
         assert _module_relpath("/tmp/elsewhere/x.py") == "/tmp/elsewhere/x.py"
-
-
-# ----------------------------------------------------------------------
-# Baselines.
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def test_roundtrip_grandfathers_existing_findings(self, tmp_path):
-        findings = lint_source(_BAD, path="pkg/mod.py")
-        payload = baseline_payload(findings)
-        baseline_file = tmp_path / "baseline.json"
-        baseline_file.write_text(json.dumps(payload))
-        baseline = load_baseline(baseline_file)
-        assert apply_baseline(findings, baseline) == []
-
-    def test_fingerprint_is_line_free(self):
-        before = lint_source(_BAD, path="pkg/mod.py")
-        shifted = lint_source("\n\n" + _BAD, path="pkg/mod.py")
-        baseline = load_baseline_from_payload(baseline_payload(before))
-        assert apply_baseline(shifted, baseline) == []
-
-    def test_budget_is_counted_not_boolean(self):
-        doubled = lint_source(_BAD + _BAD.replace("import numpy as np\n", ""), path="m.py")
-        assert len(doubled) == 2
-        one_slot = {doubled[0].fingerprint(): 1}
-        remaining = apply_baseline(doubled, one_slot)
-        assert len(remaining) == 1
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 99}')
-        with pytest.raises(ValueError):
-            load_baseline(bad)
-
-
-def load_baseline_from_payload(payload):
-    return {str(k): int(v) for k, v in payload["fingerprints"].items()}
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +184,7 @@ class TestReporters:
         (run,) = payload["runs"]
         assert run["results"][0]["ruleId"] == "DET001"
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert "DET001" in rule_ids and "HOT001" in rule_ids
+        assert "DET001" in rule_ids and "FLOW-HOT" in rule_ids
 
     def test_unknown_format_raises(self):
         with pytest.raises(ValueError):

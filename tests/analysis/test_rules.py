@@ -6,40 +6,51 @@ import pytest
 
 from repro.analysis import lint_source
 
-#: One representative violating snippet per rule:
-#: rule id -> (source, lint path).  The suppression test below derives its
-#: case from the same snippet by inserting a justified noqa at the reported
-#: line, so every rule is exercised through all three outcomes.
+#: One representative violating snippet per bug class:
+#: case id -> (rule id, source, lint path).  A rule may own several bug
+#: classes; the case ids of the loop, copy, allocation and lambda-payload
+#: snippets keep the names of the single-file rules FLOW-HOT and FLOW-PKL
+#: absorbed.  The suppression test below derives its case from the same
+#: snippet by inserting a justified noqa at the reported line, so every
+#: case is exercised through all three outcomes.
 TRUE_POSITIVES = {
     "DET001": (
+        "DET001",
         "import numpy as np\nnp.random.seed(7)\n",
         "repro/pkg/mod.py",
     ),
     "DET002": (
+        "DET002",
         "from numpy.random import default_rng\nrng = default_rng()\n",
         "repro/pkg/mod.py",
     ),
     "DET003": (
+        "DET003",
         "import random\nx = random.random()\n",
         "repro/pkg/mod.py",
     ),
     "DET004": (
+        "DET004",
         "import time\nstart = time.perf_counter()\n",
         "repro/pkg/mod.py",
     ),
     "DET005": (
+        "DET005",
         "from datetime import datetime\nstamp = datetime.now()\n",
         "repro/pkg/mod.py",
     ),
     "SPN001": (
+        "FLOW-PKL",
         "def launch(pool):\n    pool.submit(lambda cell: cell)\n",
         "repro/pkg/mod.py",
     ),
     "SPN002": (
+        "SPN002",
         "_REGISTRY = {}\n\ndef lookup(name, value):\n    _REGISTRY[name] = value\n",
         "repro/pkg/mod.py",
     ),
     "HOT001": (
+        "FLOW-HOT",
         "class BatchRunner:\n"
         "    def run(self, iterations):\n"
         "        for iteration in range(iterations):\n"
@@ -48,12 +59,14 @@ TRUE_POSITIVES = {
         "repro/batch/runner.py",
     ),
     "HOT002": (
+        "FLOW-HOT",
         "class BatchRunner:\n"
         "    def _build_context(self, workloads):\n"
         "        return tuple(workloads.tolist())\n",
         "repro/batch/runner.py",
     ),
     "HOT003": (
+        "FLOW-HOT",
         "import numpy as np\n"
         "class BatchRunner:\n"
         "    def run(self, iterations):\n"
@@ -62,10 +75,12 @@ TRUE_POSITIVES = {
         "repro/batch/runner.py",
     ),
     "API001": (
+        "API001",
         "def notify(bus, payload):\n    bus.emit('phase', payload)\n",
         "repro/pkg/mod.py",
     ),
     "API002": (
+        "API002",
         "class Mutator:\n"
         "    def poke(self, cfg):\n"
         "        object.__setattr__(cfg, 'seed', 1)\n",
@@ -78,15 +93,15 @@ def _rules_of(findings):
     return [f.rule for f in findings if not f.suppressed]
 
 
-@pytest.mark.parametrize("rule_id", sorted(TRUE_POSITIVES))
-def test_true_positive(rule_id):
-    source, path = TRUE_POSITIVES[rule_id]
+@pytest.mark.parametrize("case", sorted(TRUE_POSITIVES))
+def test_true_positive(case):
+    rule_id, source, path = TRUE_POSITIVES[case]
     assert rule_id in _rules_of(lint_source(source, path))
 
 
-@pytest.mark.parametrize("rule_id", sorted(TRUE_POSITIVES))
-def test_suppression_with_justification_silences(rule_id):
-    source, path = TRUE_POSITIVES[rule_id]
+@pytest.mark.parametrize("case", sorted(TRUE_POSITIVES))
+def test_suppression_with_justification_silences(case):
+    rule_id, source, path = TRUE_POSITIVES[case]
     (line,) = {f.line for f in lint_source(source, path) if f.rule == rule_id}
     lines = source.splitlines(keepends=True)
     lines.insert(
@@ -158,7 +173,7 @@ class TestSpawnNegatives:
             "        return cell\n"
             "    pool.submit(work, 1)\n"
         )
-        assert _rules_of(lint_source(source, "repro/pkg/mod.py")) == ["SPN001"]
+        assert _rules_of(lint_source(source, "repro/pkg/mod.py")) == ["FLOW-PKL"]
 
     def test_process_target_lambda_flagged(self):
         source = (
@@ -166,7 +181,7 @@ class TestSpawnNegatives:
             "def launch():\n"
             "    multiprocessing.Process(target=lambda: None).start()\n"
         )
-        assert "SPN001" in _rules_of(lint_source(source, "repro/pkg/mod.py"))
+        assert "FLOW-PKL" in _rules_of(lint_source(source, "repro/pkg/mod.py"))
 
     def test_supervised_pool_worker_fn_checked(self):
         source = (
@@ -176,7 +191,7 @@ class TestSpawnNegatives:
             "        return task\n"
             "    return SupervisedPool(work, num_workers=2)\n"
         )
-        assert "SPN001" in _rules_of(lint_source(source, "repro/pkg/mod.py"))
+        assert "FLOW-PKL" in _rules_of(lint_source(source, "repro/pkg/mod.py"))
 
     def test_registration_api_may_mutate(self):
         source = (
@@ -245,7 +260,7 @@ class TestHotLoopNegatives:
         assert _rules_of(lint_source(source, "repro/batch/runner.py")) == []
 
     def test_other_files_not_hot(self):
-        source, _ = TRUE_POSITIVES["HOT001"]
+        _, source, _ = TRUE_POSITIVES["HOT001"]
         assert _rules_of(lint_source(source, "repro/campaign/runner.py")) == []
 
     def test_non_hot_method_in_hot_file_not_checked(self):

@@ -25,11 +25,7 @@ EXPECTED_RULES = {
     "DET003",
     "DET004",
     "DET005",
-    "SPN001",
     "SPN002",
-    "HOT001",
-    "HOT002",
-    "HOT003",
     "API001",
     "API002",
     "SUP001",
