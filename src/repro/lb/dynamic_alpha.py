@@ -38,7 +38,7 @@ from repro.core.gains import best_alpha_for_instance
 from repro.core.intervals import menon_tau
 from repro.core.parameters import ApplicationParameters
 from repro.lb.base import LBContext, LBDecision, WorkloadPolicy
-from repro.lb.wir import OverloadDetector
+from repro.lb.wir import OverloadDetector, known_rows_of
 from repro.partitioning.weighted import target_shares_from_alphas
 from repro.utils.validation import check_fraction, check_positive, check_positive_int
 
@@ -263,14 +263,8 @@ class DynamicAlphaULBAPolicy(WorkloadPolicy):
     def decide(self, context: LBContext) -> LBDecision:
         """Detect the overloading PEs and underload them by a derived ``alpha``."""
         num_pes = context.num_pes
-        overloading: List[int] = []
-        for rank in range(num_pes):
-            view = context.wir_view_of(rank)
-            own = view.get(rank)
-            if own is None:
-                continue
-            if self.detector.is_overloading(own, list(view.values())):
-                overloading.append(rank)
+        flags = self.detector.overloading_mask(known_rows_of(context.wir_views, num_pes))
+        overloading: List[int] = np.flatnonzero(flags).tolist()
 
         downgraded = False
         if overloading and len(overloading) >= self.majority_guard * num_pes:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.lb.base import LBContext, LBDecision, WorkloadPolicy
-from repro.lb.wir import LazyWIRViews, OverloadDetector
+from repro.lb.wir import OverloadDetector, known_rows_of
 from repro.partitioning.weighted import target_shares_from_alphas
 from repro.utils.validation import check_fraction
 
@@ -68,37 +68,15 @@ class ULBAPolicy(WorkloadPolicy):
         ``alpha`` requests (Algorithm 2).
         """
         num_pes = context.num_pes
+        # Two sources of the same rows, one evaluation: a WIR database's
+        # lazy views hand out its board's compacted rows, plain per-rank
+        # dict views (sequences handed in by tests) are packed in dict
+        # order.  The grouped row-wise rule then yields the floats of P
+        # per-rank z-score evaluations, bit for bit.
+        flags = self.detector.overloading_mask(known_rows_of(context.wir_views, num_pes))
+        overloading = np.flatnonzero(flags).tolist()
         requested = np.zeros(num_pes, dtype=float)
-        # Three equivalent evaluation paths for the per-rank rule, fastest
-        # applicable first; all produce the same floats (the matrix path's
-        # row-wise reductions are bitwise identical to per-rank ones):
-        # 1. complete views as one (P, P) matrix -> one vectorized pass;
-        # 2. lazily materialized views -> per-rank compacted arrays;
-        # 3. plain per-rank dict views (sequences handed in by tests).
-        views = context.wir_views
-        fast = isinstance(views, LazyWIRViews)
-        matrix = views.complete_matrix() if fast else None
-        if matrix is not None and type(self.detector) is OverloadDetector:
-            flags = self.detector.overloading_mask_from_views(matrix)
-            overloading = np.flatnonzero(flags).tolist()
-            requested[flags] = self.alpha
-        else:
-            overloading = []
-            for rank in range(num_pes):
-                if fast:
-                    own = views.own_rate(rank)
-                    if own is None:
-                        continue
-                    rates = views.known_values(rank)
-                else:
-                    view = context.wir_view_of(rank)
-                    own = view.get(rank)
-                    if own is None:
-                        continue
-                    rates = list(view.values())
-                if self.detector.is_overloading(own, rates):
-                    requested[rank] = self.alpha
-                    overloading.append(rank)
+        requested[flags] = self.alpha
 
         downgraded = False
         if overloading and len(overloading) >= self.majority_guard * num_pes:

@@ -25,6 +25,7 @@ Four pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.simcluster.gossip import (
     BatchGossipBoard,
     GossipBoard,
     GossipConfig,
+    KnownRows,
     SparseGossipBoard,
 )
 from repro.utils.markers import hot_path
@@ -47,6 +49,7 @@ __all__ = [
     "WIRDatabase",
     "WIREstimate",
     "WIREstimateArray",
+    "known_rows_of",
 ]
 
 
@@ -297,27 +300,43 @@ class LazyWIRViews:
         return (self[rank] for rank in range(self._db.num_ranks))
 
     # -- compacted fast path (same numbers as the dict views) -----------
-    def own_rate(self, rank: int) -> Optional[float]:
-        """The WIR ``rank`` published for itself, without building a dict."""
-        return self._db.own_rate(rank)
-
     def known_values(self, rank: int) -> np.ndarray:
         """``rank``'s known WIRs in ascending source order (no dict).
 
         Identical values, in identical order, to
-        ``list(self[rank].values())`` -- the ULBA policy's per-rank overload
-        rule consumes this instead of materializing ``P`` dictionaries per
-        LB step.
+        ``list(self[rank].values())``, without materializing the dict.
         """
         return self._db.known_values(rank)
 
-    def complete_matrix(self) -> Optional[np.ndarray]:
-        """The full ``(P, P)`` view matrix once every entry is known.
+    def known_rows(self) -> KnownRows:
+        """Every rank's known WIRs and own WIR at once (no dicts)."""
+        return self._db.known_rows()
 
-        Row ``r`` is rank ``r``'s complete view; ``None`` while any view is
-        still partial.  Read-only.
-        """
-        return self._db.complete_matrix()
+
+def known_rows_of(views: Sequence[Dict[int, float]], num_ranks: int) -> KnownRows:
+    """Every rank's known WIRs and own WIR, as :class:`KnownRows`.
+
+    :class:`LazyWIRViews` hand out their board's compacted rows.  Any other
+    sequence of per-rank dicts is packed in dict order, the order the
+    per-rank rule reads a dict view in; an empty sequence means no rank
+    knows anything (as in :meth:`repro.lb.base.LBContext.wir_view_of`).
+    """
+    if isinstance(views, LazyWIRViews):
+        return views.known_rows()
+    dicts = [views[rank] for rank in range(num_ranks)] if len(views) else [{}] * num_ranks
+    counts = np.array([len(view) for view in dicts], dtype=np.int64)
+    values = np.fromiter(
+        chain.from_iterable(view.values() for view in dicts),
+        dtype=float,
+        count=int(counts.sum()),
+    )
+    own = [view.get(rank) for rank, view in enumerate(dicts)]
+    return KnownRows(
+        values,
+        counts,
+        np.array([0.0 if rate is None else rate for rate in own], dtype=float),
+        np.array([rate is not None for rate in own], dtype=bool),
+    )
 
 
 class WIRDatabase:
@@ -332,8 +351,10 @@ class WIRDatabase:
       ``(P, P)`` :class:`~repro.simcluster.gossip.GossipBoard` (default),
       or the memory-bounded
       :class:`~repro.simcluster.gossip.SparseGossipBoard` for large
-      clusters, whose views are partial by design (the consumers' dense
-      ``complete_matrix`` fast paths then degrade to the per-rank rule);
+      clusters, whose views are partial by design.  :meth:`known_rows`
+      hands every rank's view to the overload rule in one piece on either
+      board, and :meth:`OverloadDetector.overloading_mask` evaluates it
+      row-wise, one group per view width;
     * **instant mode** (``use_gossip=False``): every publish is immediately
       visible to all ranks, modelling an allgather-based implementation and
       convenient for deterministic tests.
@@ -474,6 +495,18 @@ class WIRDatabase:
         if not self._instant_known.all():
             return None
         return self._instant_matrix
+
+    def known_rows(self) -> KnownRows:
+        """Every rank's :meth:`known_values` and :meth:`own_rate` at once.
+
+        In instant mode every rank's row is the one shared view, given once.
+        """
+        if self._board is not None:
+            return self._board.known_rows()
+        row = self._instant_values[self._instant_known]
+        return KnownRows(
+            row, np.full(self.num_ranks, row.size), self._instant_values, self._instant_known
+        )
 
     def coverage(self, rank: int) -> float:
         """Fraction of ranks whose WIR is known by ``rank``."""
@@ -624,32 +657,54 @@ class OverloadDetector:
             return 0
         return int(np.count_nonzero((rates - mean) / std >= self.threshold))
 
-    def overloading_mask_from_views(self, matrix: "np.ndarray") -> "np.ndarray":
-        """Per-rank overload flags from a complete ``(P, P)`` view matrix.
+    def overloading_mask(self, rows: KnownRows) -> np.ndarray:
+        """Algorithm 1's per-rank rule for every rank at once.
 
-        Row ``r`` of ``matrix`` is the full WIR view of rank ``r``; flag
-        ``r`` answers "does rank ``r`` consider *itself* overloading within
-        its own view" -- the per-rank rule of Algorithm 1 for every rank in
-        one shot.  Row-wise reductions along the contiguous last axis are
-        bitwise identical to reducing each row separately, so the flags
-        match ``P`` scalar :meth:`is_overloading` calls exactly.
+        Flag ``r`` answers "does rank ``r`` consider *itself* overloading
+        within its own view".  Ranks that know their own value and at least
+        ``min_population`` values are grouped by how many values they
+        know; each group is one row-wise :func:`_mean_std` pass, bitwise
+        the statistics of per-row ``np.mean``/``np.std``, so the flags equal
+        per-rank :meth:`is_overloading` calls.  When every rank is in one
+        group the values already are its matrix (no gather), and a shared
+        row is evaluated once.  A subclass that overrides
+        :meth:`is_overloading` has it called per rank.
         """
-        if matrix.shape[1] < self.min_population:
-            return np.zeros(matrix.shape[0], dtype=bool)
-        if matrix.strides[0] == 0:
-            # One view shared by every rank (instant dissemination): its
-            # statistics are those of every row, bit for bit.
-            row = matrix[0]
-            mean, std = _mean_std(row)
-            if std == 0.0:
-                return np.zeros(row.size, dtype=bool)
-            return (row - mean) / std >= self.threshold
-        means, stds = _mean_std(matrix)
+        values, counts, own, has_own = rows
+        custom = type(self).is_overloading is not OverloadDetector.is_overloading
+        eligible = has_own & (counts >= self.min_population)
+        if not custom and eligible.all() and (counts == counts[0]).all():
+            return self._group_flags(values.reshape(-1, counts[0]), own)
+        if values.size == counts.sum():
+            starts = np.cumsum(counts) - counts
+        else:  # one shared row
+            starts = np.zeros_like(counts)
+        if custom:
+            return np.array(
+                [
+                    bool(has_own[r])
+                    and self.is_overloading(
+                        float(own[r]), values[starts[r] : starts[r] + counts[r]]
+                    )
+                    for r in range(counts.size)
+                ],
+                dtype=bool,
+            )
+        flags = np.zeros(counts.size, dtype=bool)
+        for width in np.unique(counts[eligible]):
+            members = np.flatnonzero(eligible & (counts == width))
+            block = values[starts[members, None] + np.arange(width)]
+            flags[members] = self._group_flags(block, own[members])
+        return flags
+
+    def _group_flags(self, block: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """The rule for ranks whose views are the rows of ``block``."""
+        means, stds = _mean_std(block)
         constant = stds == 0.0
         stds[constant] = 1.0
-        z = (matrix.diagonal() - means) / stds
-        z[constant] = 0.0
-        return z >= self.threshold
+        # zscore defines a constant population as all-zero scores, and the
+        # threshold is strictly positive.
+        return ((own - means) / stds >= self.threshold) & ~constant
 
 
 def _mean_std(values: "np.ndarray") -> "Tuple[np.ndarray, np.ndarray]":

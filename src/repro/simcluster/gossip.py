@@ -37,9 +37,15 @@ Two board implementations share those semantics:
   (``O(P * view_size)`` memory total), pushes along a configurable topology
   (``random`` / ``ring`` / ``hypercube``) and evicts the stalest entries
   when a view overflows.  Views are *partial by design*; consumers must
-  tolerate incomplete views (the ULBA policies already do -- their
-  ``complete_matrix`` fast paths return ``None`` and degrade to the
-  per-rank rule).
+  tolerate incomplete views (the ULBA policies read every rank's known
+  values through :meth:`~SparseGossipBoard.known_rows` and evaluate the
+  overload rule row-wise per group of equal view width).  A round is two
+  ``np.sort`` calls over packed int64 keys -- ``(receiver, source,
+  version, existing, index)`` to keep the freshest entry per pair, then
+  ``(receiver, not own, vmax - version, source, index)`` to evict.
+  Versions are packed as offsets from the round's minimum; when explicit
+  versions spread too far for 63 bits, their ranks among the round's
+  distinct versions replace them (same order, fewer bits).
 
 :func:`make_gossip_board` selects the implementation from
 :attr:`GossipConfig.mode`.
@@ -48,7 +54,7 @@ Two board implementations share those semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +65,7 @@ __all__ = [
     "BatchGossipBoard",
     "GossipConfig",
     "GossipBoard",
+    "KnownRows",
     "SparseGossipBoard",
     "make_gossip_board",
     "select_push_targets",
@@ -127,6 +134,24 @@ class GossipConfig:
             m = num_ranks if self.view_size is None else min(self.view_size, num_ranks)
             return num_ranks * m * 24
         return num_ranks * num_ranks * 16
+
+
+class KnownRows(NamedTuple):
+    """Every rank's known values, row after row (compressed sparse rows).
+
+    Row ``r`` -- the values rank ``r`` knows, in ascending source order --
+    is ``values[start:start + counts[r]]`` with ``start = counts[:r].sum()``.
+    ``own[r]`` is the value ``r`` published for itself, meaningful only
+    where ``has_own[r]``.  A view that every rank shares (instant
+    dissemination) may be given once: ``values`` is then that one row and
+    every ``counts[r]`` its length.  The arrays may share memory with the
+    board: read-only.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+    own: np.ndarray
+    has_own: np.ndarray
 
 
 def _random_push_targets(
@@ -388,10 +413,25 @@ class GossipBoard(_PushBoard):
         """The values ``rank`` knows, compacted in ascending source order.
 
         Same numbers as ``local_view(rank).values()`` without building the
-        dictionary -- the hot path of the ULBA per-rank overload rule.
+        dictionary.
         """
         self._check_rank(rank)
         return self._values[rank][self._versions[rank] >= 0]
+
+    def known_rows(self) -> KnownRows:
+        """Every rank's :meth:`known_values_row` at once, as :class:`KnownRows`.
+
+        A complete board hands out its value matrix without a copy.
+        """
+        if self.is_complete():
+            values = self._values.reshape(-1)
+            counts = np.full(self.num_ranks, self.num_ranks)
+        else:
+            known = self._versions >= 0
+            values, counts = self._values[known], np.count_nonzero(known, axis=1)
+        return KnownRows(
+            values, counts, self._values.diagonal(), self._versions.diagonal() >= 0
+        )
 
     def values_row(self, rank: int) -> np.ndarray:
         """Raw value row of ``rank`` (entries only valid where known)."""
@@ -461,9 +501,9 @@ class SparseGossipBoard(_PushBoard):
     deterministic) and a rank's own entry -- pinned in slot 0 -- is never
     evicted.  Views are therefore *partial by design* and consumers must
     treat them like early-phase dense gossip views (the ULBA policies
-    already do); :meth:`complete_matrix` returns ``None`` whenever the view
-    bound can hide entries, which makes the dense fast paths degrade
-    gracefully instead of reading a wrong matrix.
+    already do, through :meth:`known_rows`); :meth:`complete_matrix`
+    returns ``None`` whenever the view bound can hide entries, so no
+    consumer reads a wrong matrix.
 
     Push targets come from :attr:`GossipConfig.topology`: ``random`` draws
     ``fanout`` uniform peers per rank with one batched ``(P, fanout)``
@@ -542,14 +582,35 @@ class SparseGossipBoard(_PushBoard):
     def known_values_row(self, rank: int) -> np.ndarray:
         """The values ``rank`` knows, compacted in ascending source order.
 
-        Same contract as :meth:`GossipBoard.known_values_row` (the ULBA hot
-        path); the slots are stored by freshness, so a small sort by source
-        restores the canonical order.
+        Same contract as :meth:`GossipBoard.known_values_row`; the slots
+        are stored by freshness, so a small sort by source restores the
+        canonical order.
         """
         self._check_rank(rank)
         valid = self._ver[rank] >= 0
         srcs = self._src[rank][valid]
         return self._val[rank][valid][np.argsort(srcs)]
+
+    def known_rows(self) -> KnownRows:
+        """Every rank's :meth:`known_values_row` at once, as :class:`KnownRows`.
+
+        One row-wise sort of ``(source, slot)`` keys, unknown slots last,
+        restores the canonical order of every view.
+        """
+        m = self.view_size
+        known = self._ver >= 0
+        counts = np.count_nonzero(known, axis=1)
+        slot_bits = (m - 1).bit_length()
+        key = np.where(known, self._src, self.num_ranks) << slot_bits
+        key |= np.arange(m)
+        key.sort(axis=1)
+        values = np.take_along_axis(self._val, key & ((1 << slot_bits) - 1), axis=1)
+        return KnownRows(
+            values[np.arange(m) < counts[:, None]],
+            counts,
+            self._val[:, 0],
+            self._ver[:, 0] >= 0,
+        )
 
     def own_value(self, rank: int) -> Optional[float]:
         """The value ``rank`` published for itself, if any."""
@@ -575,12 +636,8 @@ class SparseGossipBoard(_PushBoard):
         """The full ``(P, P)`` view matrix, or ``None`` while any view is partial.
 
         Only an unbounded sparse board (``view_size >= P``) can ever be
-        complete; a bounded board always returns ``None`` here, which is
-        exactly what makes the dense fast paths (e.g.
-        :meth:`repro.lb.wir.OverloadDetector.overloading_mask_from_views`)
-        degrade gracefully to the per-rank rule.  Unlike the dense board
-        this materializes a fresh matrix per call; callers cache it per LB
-        step.
+        complete; a bounded board always returns ``None`` here.  Unlike
+        the dense board this materializes a fresh matrix per call.
         """
         if not self.is_complete():
             return None
@@ -628,85 +685,99 @@ class SparseGossipBoard(_PushBoard):
     def _merge(self, push_src: np.ndarray, push_dst: np.ndarray) -> None:
         """Freshest-version merge + bounded eviction of one round's pushes.
 
-        Candidate entries are every receiver's current entries plus every
+        Candidate entries are every receiver's current slots plus every
         slot of each pushed view.  Per ``(receiver, source)`` pair the
         freshest version survives, with the receiver's existing entry
-        winning ties (value-neutral, as on the dense board).  Per
-        receiver, the own entry is pinned to slot 0 and the freshest
-        ``view_size - 1`` other entries are retained (version ties evict
-        higher source ranks first).
+        winning ties (value-neutral, as on the dense board; among pushed
+        copies of one version the later push wins).  Per receiver, the own
+        entry is pinned to slot 0 and the freshest ``view_size - 1`` other
+        entries fill slots ``1..`` in ``(-version, source)`` order (version
+        ties evict higher source ranks first).
+
+        Each of the two orderings is one ``np.sort`` of a packed int64 key
+        that carries the candidate's index in its low bits, like the dense
+        board's shift-packing.  The dedupe key is ``(receiver, source,
+        version, existing, index)``; the last key of each ``(receiver,
+        source)`` run wins.  The eviction key is ``(receiver, not own, vmax
+        - version, source, index)``; the first ``view_size`` keys of each
+        receiver fill its slots.  Versions enter the keys as offsets from
+        the round's minimum version.  When explicit publishes spread them
+        too far for 63 bits, each version is replaced by its rank among the
+        round's distinct versions, which sorts the same.
+
+        Unknown slots take part as candidates too.  A receiver's own slot 0
+        (version -1 until it publishes) always stands for its own pair, so
+        every receiver's run starts with its own entry.  Every other
+        unknown slot enters as source -1 and sorts after every known entry;
+        copying one into a slot writes exactly the empty state.
         """
         num_ranks, m = self.num_ranks, self.view_size
+        num_blocks = num_ranks + push_src.size
+        # Candidate i is slot i % m of block i // m: blocks 0..P-1 are the
+        # receivers' current views, block P + e the view push e carries.
+        block_row = np.concatenate([np.arange(num_ranks), push_src])
+        block_recv = np.concatenate([np.arange(num_ranks), push_dst])
 
-        # Candidate pool: existing entries first (lower priority bit wins
-        # version ties for the receiver's own copy).
-        recv = np.concatenate(
-            [
-                np.repeat(np.arange(num_ranks, dtype=np.int64), m),
-                np.repeat(push_dst.astype(np.int64), m),
-            ]
-        )
-        src = np.concatenate([self._src.reshape(-1), self._src[push_src].reshape(-1)])
-        val = np.concatenate([self._val.reshape(-1), self._val[push_src].reshape(-1)])
-        ver = np.concatenate([self._ver.reshape(-1), self._ver[push_src].reshape(-1)])
-        existing = np.zeros(recv.size, dtype=bool)
-        existing[: num_ranks * m] = True
+        sbits = num_ranks.bit_length()  # sources enter as source + 1 >= 0
+        ibits = (num_blocks * m - 1).bit_length()
+        fixed_bits = 2 * sbits + 1 + ibits
+        vmin, vmax = int(self._ver.min()), int(self._ver.max())
+        ver = self._ver - vmin
+        span = vmax - vmin
+        if fixed_bits + span.bit_length() > 63:
+            distinct, ver = np.unique(self._ver, return_inverse=True)
+            ver = ver.reshape(self._ver.shape)
+            span = distinct.size - 1
+            if fixed_bits + span.bit_length() > 63:
+                raise ValueError(
+                    f"{num_ranks} ranks x {num_blocks * m} merge candidates do "
+                    "not fit a 63-bit merge key"
+                )
+        vbits = span.bit_length()
+        rshift = sbits + vbits + 1 + ibits  # the receiver field, both keys
+        imask = (1 << ibits) - 1
 
-        known = ver >= 0
-        recv, src, val, ver, existing = (
-            recv[known],
-            src[known],
-            val[known],
-            ver[known],
-            existing[known],
-        )
-        if recv.size == 0:
-            return
-
-        # Dedupe per (receiver, source): after the lexsort the last element
-        # of each group carries the max (version, existing) pair, i.e. the
-        # freshest version with receiver-keeps-ties semantics.
-        pair = recv * num_ranks + src
-        order = np.lexsort((existing, ver, pair))
-        pair_sorted = pair[order]
-        last = np.empty(pair_sorted.size, dtype=bool)
+        # Dedupe on (receiver, source, version, existing, index): the last
+        # key of each (receiver, source) run is the freshest entry, the
+        # receiver's own copy on version ties, else the latest push.
+        board_key = (self._src + 1) * (self._ver >= 0) << (vbits + 1 + ibits)
+        board_key |= ver << (1 + ibits)
+        key = board_key[block_row].reshape(-1)
+        key |= np.repeat(block_recv << rshift, m)
+        key[: num_ranks * m] |= 1 << ibits  # the existing bit
+        # A receiver's own slot keeps its source while it is still unknown.
+        key[: num_ranks * m : m] |= np.arange(1, num_ranks + 1) << (vbits + 1 + ibits)
+        key |= np.arange(key.size)
+        key.sort()
+        pair = key >> (vbits + 1 + ibits)
+        last = np.empty(key.size, dtype=bool)
         last[-1] = True
-        np.not_equal(pair_sorted[1:], pair_sorted[:-1], out=last[:-1])
-        winners = order[last]
-        recv, src, val, ver = recv[winners], src[winners], val[winners], ver[winners]
+        np.not_equal(pair[1:], pair[:-1], out=last[:-1])
+        key = key[last]
+
+        # Evict on (receiver, not own, vmax - version, source, index).
+        recv = key >> rshift
+        src = (key >> (vbits + 1 + ibits)) & ((1 << sbits) - 1)
+        ver = (key >> (1 + ibits)) & ((1 << vbits) - 1)
+        key &= ~((1 << rshift) - 1) | imask
+        key |= (src != recv + 1).astype(np.int64) << (vbits + sbits + ibits)
+        key |= (span - ver) << (sbits + ibits)
+        key |= src << ibits
+        key.sort()
+        counts = np.bincount(key >> rshift, minlength=num_ranks)
+        slot = np.arange(key.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        keep = slot < m
+        key = key[keep]
+        slots = (key >> rshift) * m + slot[keep]
+        block, offset = np.divmod(key & imask, m)
+        kept = block_row[block] * m + offset
 
         new_src = np.full((num_ranks, m), -1, dtype=np.int64)
         new_val = np.zeros((num_ranks, m), dtype=float)
         new_ver = np.full((num_ranks, m), -1, dtype=np.int64)
-        new_src[:, 0] = np.arange(num_ranks)
-
-        self_mask = src == recv
-        self_recv = recv[self_mask]
-        new_val[self_recv, 0] = val[self_mask]
-        new_ver[self_recv, 0] = ver[self_mask]
-
-        other = ~self_mask
-        o_recv, o_src = recv[other], src[other]
-        o_val, o_ver = val[other], ver[other]
-        if o_recv.size:
-            # Freshest (view_size - 1) other entries per receiver: sort by
-            # (receiver, -version, source) and keep the first m-1 positions
-            # of each receiver group.
-            order = np.lexsort((o_src, -o_ver, o_recv))
-            recv_sorted = o_recv[order]
-            boundary = np.empty(recv_sorted.size, dtype=bool)
-            boundary[0] = True
-            np.not_equal(recv_sorted[1:], recv_sorted[:-1], out=boundary[1:])
-            starts = np.flatnonzero(boundary)
-            group = np.cumsum(boundary) - 1
-            pos = np.arange(recv_sorted.size) - starts[group]
-            keep = pos < m - 1
-            kept = order[keep]
-            slot = pos[keep] + 1
-            new_src[o_recv[kept], slot] = o_src[kept]
-            new_val[o_recv[kept], slot] = o_val[kept]
-            new_ver[o_recv[kept], slot] = o_ver[kept]
-
+        new_src.reshape(-1)[slots] = ((key >> ibits) & ((1 << sbits) - 1)) - 1
+        new_val.reshape(-1)[slots] = self._val.reshape(-1)[kept]
+        new_ver.reshape(-1)[slots] = self._ver.reshape(-1)[kept]
         self._src, self._val, self._ver = new_src, new_val, new_ver
 
 

@@ -7,7 +7,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.lb.wir import OverloadDetector, WIRDatabase, WIREstimate, _mean_std
+from repro.lb.wir import (
+    OverloadDetector,
+    WIRDatabase,
+    WIREstimate,
+    _mean_std,
+    known_rows_of,
+)
+from repro.simcluster.gossip import GossipConfig, KnownRows
+
+
+def matrix_rows(matrix):
+    """The rows of a complete ``(P, P)`` view matrix: row ``r`` is rank
+    ``r``'s view and the diagonal every rank's own rate."""
+    num = matrix.shape[0]
+    return KnownRows(
+        np.ascontiguousarray(matrix).reshape(-1),
+        np.full(num, num),
+        matrix.diagonal(),
+        np.ones(num, dtype=bool),
+    )
 
 
 class TestWIREstimate:
@@ -218,8 +237,8 @@ class TestOverloadDetector:
         constant=st.booleans(),
     )
     def test_mask_matches_per_rank_rule(self, num, seed, constant):
-        """The matrix mask equals the per-rank rule, for a shared view
-        (the broadcast fast path) and for per-rank views alike."""
+        """The mask of a complete view matrix equals the per-rank rule, for
+        a shared view (a broadcast) and for per-rank views alike."""
         rng = np.random.default_rng(seed)
         detector = OverloadDetector(threshold=1.5)
         shared = np.ones(num) if constant else rng.random(num) ** 6
@@ -231,7 +250,7 @@ class TestOverloadDetector:
             expected = [
                 detector.is_overloading(matrix[r, r], matrix[r]) for r in range(num)
             ]
-            assert detector.overloading_mask_from_views(matrix).tolist() == expected
+            assert detector.overloading_mask(matrix_rows(matrix)).tolist() == expected
         count = detector.overloading_count(shared)
         assert count == len(detector.overloading_ranks(dict(enumerate(shared))))
 
@@ -242,9 +261,142 @@ class TestOverloadDetector:
         for p, expected in ((9, False), (10, True), (32, True)):
             rates = np.array([0.0] * (p - 1) + [50.0])
             for matrix in (np.broadcast_to(rates, (p, p)), np.tile(rates, (p, 1))):
-                flags = detector.overloading_mask_from_views(matrix).tolist()
+                flags = detector.overloading_mask(matrix_rows(matrix)).tolist()
                 assert flags == [False] * (p - 1) + [expected]
             assert detector.overloading_count(rates) == int(expected)
+
+
+class _MaxGapDetector(OverloadDetector):
+    """A subclass rule: overloading when the own rate tops the view by ``threshold``."""
+
+    def is_overloading(self, own_rate, all_rates):
+        rates = sorted(all_rates)
+        return len(rates) >= 2 and own_rate - rates[-2] >= self.threshold
+
+
+def per_rank_flags(detector, db):
+    """The per-rank rule, one ``is_overloading`` call per rank that knows itself."""
+    flags = []
+    for rank in range(db.num_ranks):
+        own = db.own_rate(rank)
+        flags.append(
+            own is not None and detector.is_overloading(own, db.known_values(rank))
+        )
+    return flags
+
+
+class TestGroupedOverloadRule:
+    """``overloading_mask`` (grouped, row-wise) equals per-rank ``is_overloading``."""
+
+    @given(
+        num=st.integers(2, 40),
+        mode=st.sampled_from(["dense", "sparse", "instant"]),
+        view_size=st.integers(2, 12),
+        rounds=st.integers(0, 6),
+        threshold=st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+        min_population=st.integers(1, 8),
+        constant=st.booleans(),
+        data=st.data(),
+    )
+    def test_property_matches_per_rank_rule(
+        self, num, mode, view_size, rounds, threshold, min_population, constant, data
+    ):
+        config = GossipConfig(mode=mode, view_size=view_size) if mode != "instant" else None
+        db = WIRDatabase(num, use_gossip=mode != "instant", gossip_config=config, seed=num)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        rates = np.full(num, 2.5) if constant else rng.random(num) ** 6
+        publishers = data.draw(
+            st.lists(st.integers(0, num - 1), unique=True, max_size=num), label="publishers"
+        )
+        for rank in publishers:
+            db.publish(rank, rates[rank])
+        for _ in range(rounds):
+            db.disseminate()
+        dicts = [db.view(rank) for rank in range(num)]
+        for detector in (
+            OverloadDetector(threshold=threshold, min_population=min_population),
+            _MaxGapDetector(threshold=threshold),
+        ):
+            expected = per_rank_flags(detector, db)
+            for rows in (db.known_rows(), known_rows_of(dicts, num)):
+                assert rows.counts.tolist() == [len(view) for view in dicts]
+                assert detector.overloading_mask(rows).tolist() == expected
+
+    def test_partial_sparse_views_form_several_groups(self):
+        num = 64
+        db = WIRDatabase(num, gossip_config=GossipConfig(mode="sparse", view_size=16), seed=3)
+        rates = np.zeros(num)
+        rates[::9] = 50.0
+        db.publish_all(rates)
+        db.disseminate()
+        db.disseminate()
+        rows = db.known_rows()
+        assert np.unique(rows.counts).size > 1  # several group widths
+        detector = OverloadDetector(threshold=1.5)
+        flags = detector.overloading_mask(rows)
+        assert flags.tolist() == per_rank_flags(detector, db)
+        assert flags.any()
+
+    def test_ranks_without_own_value_never_flag(self):
+        num = 20
+        db = WIRDatabase(num, gossip_config=GossipConfig(), seed=1)
+        for rank in range(0, num, 2):
+            db.publish(rank, 100.0 if rank == 4 else 0.0)
+        for _ in range(6):
+            db.disseminate()
+        rows = db.known_rows()
+        assert not rows.has_own[1::2].any()
+        flags = OverloadDetector(threshold=2.0).overloading_mask(rows)
+        assert not flags[1::2].any()
+        assert flags.tolist() == per_rank_flags(OverloadDetector(threshold=2.0), db)
+
+    def test_groups_below_min_population_never_flag(self):
+        views = [{0: 100.0, 1: 0.0}, {0: 100.0, 1: 0.0, 2: 0.0}, {2: 9.0}]
+        rows = known_rows_of(views, 3)
+        assert rows.counts.tolist() == [2, 3, 1]
+        assert OverloadDetector(threshold=0.5, min_population=3).overloading_mask(
+            rows
+        ).tolist() == [False, False, False]
+        assert OverloadDetector(threshold=0.5, min_population=2).overloading_mask(
+            rows
+        ).tolist() == [True, False, False]
+
+    def test_constant_rows_never_flag(self):
+        views = [{0: 1.0, 1: 1.0, 2: 1.0}] * 3
+        flags = OverloadDetector(threshold=1e-9).overloading_mask(known_rows_of(views, 3))
+        assert flags.tolist() == [False, False, False]
+
+    def test_zero_std_rows_never_flag(self):
+        """A std that underflows to 0 scores 0, although own != mean."""
+        views = [{0: 2e-170, 1: 1e-170}, {0: 2e-170, 1: 1e-170}]
+        detector = OverloadDetector(threshold=1e-300)
+        assert np.std(list(views[0].values())) == 0.0
+        expected = [detector.is_overloading(view[r], list(view.values())) for r, view in enumerate(views)]
+        assert expected == [False, False]
+        assert detector.overloading_mask(known_rows_of(views, 2)).tolist() == expected
+
+    def test_empty_views_flag_nothing(self):
+        flags = OverloadDetector().overloading_mask(known_rows_of((), 4))
+        assert flags.tolist() == [False] * 4
+
+    def test_subclass_rule_is_called_per_rank(self):
+        calls = []
+
+        class Recording(_MaxGapDetector):
+            def is_overloading(self, own_rate, all_rates):
+                calls.append((own_rate, list(all_rates)))
+                return super().is_overloading(own_rate, all_rates)
+
+        views = [{0: 10.0, 1: 1.0}, {0: 10.0, 1: 1.0, 2: 2.0}, {1: 1.0, 2: 9.0}, {0: 1.0}]
+        flags = Recording(threshold=5.0).overloading_mask(known_rows_of(views, 4))
+        assert flags.tolist() == [True, False, True, False]
+        # Rank 3 does not know its own rate: no call, like the per-rank loop.
+        assert calls == [
+            (10.0, [10.0, 1.0]),
+            (1.0, [10.0, 1.0, 2.0]),
+            (9.0, [1.0, 9.0]),
+        ]
 
 
 class TestWIREstimateArray:

@@ -10,8 +10,19 @@ sparse databases.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+
+from repro.api import (
+    ClusterConfig,
+    PolicyConfig,
+    RunConfig,
+    ScenarioConfig,
+    Session,
+    TopologyConfig,
+)
 
 from repro.lb.base import LBContext
 from repro.lb.registry import make_policy_pair
@@ -19,7 +30,7 @@ from repro.lb.wir import BatchWIRDatabase, WIRDatabase
 from repro.runtime.skeleton import IterativeRunner, initial_lb_cost_prior
 from repro.runtime.synthetic import SyntheticGrowthApplication
 from repro.simcluster.cluster import VirtualCluster
-from repro.simcluster.gossip import GossipConfig
+from repro.simcluster.gossip import GossipConfig, SparseGossipBoard
 
 SPARSE = GossipConfig(mode="sparse", view_size=6, fanout=2)
 
@@ -55,7 +66,6 @@ class TestSparseWIRDatabase:
         for _ in range(20):
             db.disseminate()
         assert db.complete_matrix() is None
-        assert db.views().complete_matrix() is None
 
     def test_unbounded_sparse_completes_like_dense(self):
         cfg = GossipConfig(mode="sparse", fanout=2)
@@ -157,8 +167,9 @@ class TestBatchSparseDatabase:
         batch.publish_all(np.ones((2, 8)))
         batch.disseminate()
         views = batch.replica(1).views()
-        assert views.complete_matrix() is None
-        assert views.own_rate(0) == 1.0
+        rows = views.known_rows()
+        assert rows.has_own.all() and rows.own.tolist() == [1.0] * 8
+        assert rows.counts.tolist() == [len(view) for view in views]
         assert len(views[0]) >= 1
 
 
@@ -217,3 +228,58 @@ class TestSparseConfigRejection:
     def test_bad_view_size_rejected_at_config(self):
         with pytest.raises(ValueError):
             GossipConfig(mode="sparse", view_size=0)
+
+
+def sparse_run_digest(num_pes, view_size, topology, iterations, seed, monkeypatch):
+    """SHA-256 over a seeded sparse ULBA run: every round's board arrays, the
+    iteration-time series, the LB call count and every LB step's flagged
+    ranks.  Returns ``(digest, rounds, flagged counts per LB step)``."""
+    digest = hashlib.sha256()
+    rounds = []
+    step = SparseGossipBoard.step
+
+    def recording_step(board):
+        step(board)
+        rounds.append(board.steps)
+        for array in (board._src, board._val, board._ver):
+            digest.update(array.tobytes())
+
+    monkeypatch.setattr(SparseGossipBoard, "step", recording_step)
+    config = RunConfig(
+        cluster=ClusterConfig(num_pes=num_pes),
+        topology=TopologyConfig(
+            gossip_mode="sparse", view_size=view_size, push_topology=topology
+        ),
+        policy=PolicyConfig("ulba", {"alpha": 0.4}),
+        scenario=ScenarioConfig(
+            name="synthetic-hotspot",
+            columns_per_pe=2,
+            iterations=iterations,
+            seed=seed,
+        ),
+    )
+    run = Session.from_config(config).run().run
+    digest.update(run.trace.iteration_time_series().tobytes())
+    digest.update(repr(run.num_lb_calls).encode())
+    flagged = [report.decision.overloading_ranks for report in run.lb_reports]
+    digest.update(repr(flagged).encode())
+    return digest.hexdigest(), len(rounds), [len(ranks) for ranks in flagged]
+
+
+class TestPinnedSparseRuns:
+    """Seeded sparse runs pinned bit for bit: board state after every
+    gossip round, timings, LB calls and the per-rank overload decisions."""
+
+    def test_p1024_random_view64(self, monkeypatch):
+        digest, rounds, flagged = sparse_run_digest(1024, 64, "random", 24, 7, monkeypatch)
+        assert (rounds, flagged) == (24, [36, 35, 13, 19, 15, 11, 6])
+        assert digest == (
+            "31a74897308c34ad6ffdb9109fdef37d01643858ec3ed4e4f8f9ce1686f1e6c0"
+        )
+
+    def test_p256_ring_view32(self, monkeypatch):
+        digest, rounds, flagged = sparse_run_digest(256, 32, "ring", 40, 3, monkeypatch)
+        assert (rounds, flagged) == (40, [9, 5, 6, 3, 10, 4, 1, 4, 4, 0, 1, 0, 1, 1, 1])
+        assert digest == (
+            "d9fad6994f607d5ada56574b085227ba1f4132388521ce252d8fd3fecebd9e83"
+        )

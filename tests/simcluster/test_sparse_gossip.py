@@ -316,3 +316,151 @@ class TestFreshestVersionSemantics:
             board.publish(2, 0.0)
         with pytest.raises(ValueError):
             board.local_view(-1)
+
+
+def _oracle_round(views, pushes, view_size):
+    """One round of the documented sparse merge, per receiver, in pure Python.
+
+    ``views[r]`` maps source rank -> ``(version, value)``.  Every receiver
+    starts from its own entries and walks the round's pushes in edge order
+    over the *pre-round* views: a pushed copy replaces the current best when
+    it is strictly fresher, or equally fresh and the current best is itself
+    a pushed copy (the receiver keeps ties; among pushed copies the later
+    push wins).  The own entry is then pinned and the freshest
+    ``view_size - 1`` others are kept, ordered by ``(-version, source)``.
+    """
+    merged = []
+    for rank, view in enumerate(views):
+        best = {src: (ver, val, True) for src, (ver, val) in view.items()}
+        for push_src, push_dst in pushes:
+            if push_dst != rank:
+                continue
+            for src, (ver, val) in views[push_src].items():
+                current = best.get(src)
+                if current is None or ver > current[0] or (
+                    ver == current[0] and not current[2]
+                ):
+                    best[src] = (ver, val, False)
+        new_view = {}
+        own = best.pop(rank, None)
+        if own is not None:
+            new_view[rank] = own[:2]
+        others = sorted(best.items(), key=lambda item: (-item[1][0], item[0]))
+        for src, (ver, val, _) in others[: view_size - 1]:
+            new_view[src] = (ver, val)
+        merged.append(new_view)
+    return merged
+
+
+def _oracle_arrays(views, view_size):
+    """The slot layout of oracle views: own entry in slot 0, then by freshness."""
+    num_ranks = len(views)
+    src = np.full((num_ranks, view_size), -1, dtype=np.int64)
+    val = np.zeros((num_ranks, view_size))
+    ver = np.full((num_ranks, view_size), -1, dtype=np.int64)
+    src[:, 0] = np.arange(num_ranks)
+    for rank, view in enumerate(views):
+        if rank in view:
+            ver[rank, 0], val[rank, 0] = view[rank]
+        others = sorted(
+            ((-v, s, x) for s, (v, x) in view.items() if s != rank)
+        )
+        for slot, (neg_ver, s, x) in enumerate(others, start=1):
+            src[rank, slot], ver[rank, slot], val[rank, slot] = s, -neg_ver, x
+    return src, val, ver
+
+
+class TestMergeOracle:
+    """The vectorized merge equals a per-receiver Python oracle, round by round."""
+
+    @given(data=st.data())
+    def test_property_merge_matches_oracle(self, data):
+        num_ranks = data.draw(st.integers(1, 24), label="num_ranks")
+        view_size = data.draw(
+            st.one_of(st.none(), st.integers(2, num_ranks + 2)), label="view_size"
+        )
+        fanout = data.draw(st.integers(1, 4), label="fanout")
+        topology = data.draw(
+            st.sampled_from(["random", "ring", "hypercube"]), label="topology"
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        config = GossipConfig(
+            mode="sparse", topology=topology, fanout=fanout, view_size=view_size
+        )
+        board = SparseGossipBoard(num_ranks, config=config, seed=seed)
+        m = board.view_size
+        rng = ensure_rng(seed)
+        views = [{} for _ in range(num_ranks)]
+        # Explicit versions up to 2**62 spread the known versions of a round
+        # beyond what fits a packed key next to the other fields.
+        versions = st.one_of(
+            st.none(), st.integers(0, 64), st.integers(0, 2**62)
+        )
+        for step in range(data.draw(st.integers(1, 8), label="rounds")):
+            publishers = data.draw(
+                st.lists(st.integers(0, num_ranks - 1), max_size=num_ranks),
+                label="publishers",
+            )
+            for rank in publishers:
+                value = data.draw(
+                    st.floats(-1e6, 1e6, allow_nan=False), label="value"
+                )
+                version = data.draw(versions, label="version")
+                board.publish(rank, value, version=version)
+                v = step if version is None else version
+                if v >= views[rank].get(rank, (-1, 0.0))[0]:
+                    views[rank][rank] = (v, value)
+            if num_ranks > 1:
+                if topology == "random":
+                    src, dst = sparse_random_push_targets(rng, num_ranks, fanout)
+                else:
+                    src, dst = topology_push_targets(
+                        step, num_ranks, fanout, topology
+                    )
+                views = _oracle_round(views, list(zip(src.tolist(), dst.tolist())), m)
+            board.step()
+            exp_src, exp_val, exp_ver = _oracle_arrays(views, m)
+            assert np.array_equal(board._src, exp_src)
+            assert np.array_equal(board._ver, exp_ver)
+            assert board._val.tobytes() == exp_val.tobytes()
+
+    def test_version_ties_keep_the_receivers_copy(self):
+        """Copies of one (source, version) with different values: the
+        receiver keeps its own copy, and among pushes the later one wins."""
+        board = SparseGossipBoard(
+            4, config=GossipConfig(mode="sparse", topology="ring", fanout=2)
+        )
+        views = [
+            {0: (1, 0.0), 3: (7, 30.0)},
+            {1: (1, 1.0), 3: (7, 31.0)},
+            {2: (1, 2.0)},
+            {3: (7, 33.0)},
+        ]
+        board._src, board._val, board._ver = _oracle_arrays(views, 4)
+        src, dst = topology_push_targets(0, 4, 2, "ring")
+        board.step()
+        exp_src, exp_val, exp_ver = _oracle_arrays(
+            _oracle_round(views, list(zip(src.tolist(), dst.tolist())), 4), 4
+        )
+        assert np.array_equal(board._src, exp_src)
+        assert np.array_equal(board._ver, exp_ver)
+        assert np.array_equal(board._val, exp_val)
+        assert board.local_view(1)[3] == 31.0  # kept over pushes of 30.0 and 33.0
+        assert board.local_view(2)[3] == 31.0  # rank 1 pushes after rank 0
+
+    def test_huge_version_spread(self):
+        """Versions 0 and 2**62 in one round still merge by freshness."""
+        board = SparseGossipBoard(
+            5, config=GossipConfig(mode="sparse", topology="ring", fanout=2, view_size=3)
+        )
+        for rank in range(5):
+            board.publish(rank, float(rank), version=0 if rank % 2 else 2**62 - rank)
+        views = [{rank: (board._ver[rank, 0], float(rank))} for rank in range(5)]
+        for step in range(3):
+            src, dst = topology_push_targets(step, 5, 2, "ring")
+            views = _oracle_round(views, list(zip(src.tolist(), dst.tolist())), 3)
+            board.step()
+            exp_src, exp_val, exp_ver = _oracle_arrays(views, 3)
+            assert np.array_equal(board._src, exp_src)
+            assert np.array_equal(board._ver, exp_ver)
+            assert np.array_equal(board._val, exp_val)
