@@ -29,6 +29,7 @@ __all__ = [
     "FunctionInfo",
     "ModuleInfo",
     "cache_counters",
+    "collect_imports",
     "reset_cache",
 ]
 
@@ -249,8 +250,17 @@ def _module_relpath(path: Union[str, Path]) -> str:
     return "/".join(parts)
 
 
-def _collect_imports(tree: ast.Module) -> Tuple[Dict[str, str], Dict[str, str]]:
-    """Import maps over the whole tree (function-level imports included)."""
+def collect_imports(tree: ast.Module) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """Map local names to the modules/members they were imported as.
+
+    Returns ``(modules, members)`` over the whole tree (function-level
+    imports included): ``modules`` maps a bound name to a module path
+    (``np`` -> ``numpy``), ``members`` maps a bound name to a fully
+    qualified member (``perf_counter`` -> ``time.perf_counter``).  Only
+    absolute imports are tracked -- a relative import's package is not
+    known here, and an unresolvable name simply never matches, which keeps
+    the rules free of false positives.
+    """
     modules: Dict[str, str] = {}
     members: Dict[str, str] = {}
     for node in ast.walk(tree):
@@ -261,7 +271,7 @@ def _collect_imports(tree: ast.Module) -> Tuple[Dict[str, str], Dict[str, str]]:
                 else:
                     top = alias.name.split(".")[0]
                     modules[top] = top
-        elif isinstance(node, ast.ImportFrom) and node.module:
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             for alias in node.names:
                 if alias.name == "*":
                     continue
@@ -370,7 +380,7 @@ def _class_attr_types(info: ClassInfo) -> Dict[str, str]:
 
 
 def _build_module(path: str, source: str, tree: ast.Module) -> ModuleInfo:
-    modules, members = _collect_imports(tree)
+    modules, members = collect_imports(tree)
     info = ModuleInfo(
         name=".".join(_module_name_from_path(path)),
         path=path,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro.analysis.flow.symbols import collect_imports
 from repro.analysis.framework import FileContext, LintRule, register_rule
 
 __all__ = [
@@ -70,36 +71,6 @@ _DATETIME_NOW = frozenset(
 )
 
 
-def _collect_imports(
-    tree: ast.Module,
-) -> Tuple[Dict[str, str], Dict[str, str]]:
-    """Map local names to the modules/members they were imported as.
-
-    Returns ``(modules, members)``: ``modules`` maps a bound name to a
-    module path (``np`` -> ``numpy``), ``members`` maps a bound name to a
-    fully qualified member (``perf_counter`` -> ``time.perf_counter``).
-    Only absolute imports are tracked -- an unresolvable name simply never
-    matches, which keeps these rules free of false positives on local
-    variables that happen to share a name.
-    """
-    modules: Dict[str, str] = {}
-    members: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    modules[alias.asname] = alias.name
-                else:
-                    top = alias.name.split(".")[0]
-                    modules[top] = top
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                members[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    return modules, members
-
-
 def _qualified(
     node: ast.AST, modules: Dict[str, str], members: Dict[str, str]
 ) -> Optional[str]:
@@ -120,7 +91,7 @@ def _qualified(
 
 
 def _iter_calls(ctx: FileContext) -> Iterator[Tuple[ast.Call, str]]:
-    modules, members = _collect_imports(ctx.tree)
+    modules, members = collect_imports(ctx.tree)
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Call):
             qualified = _qualified(node.func, modules, members)

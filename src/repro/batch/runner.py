@@ -55,7 +55,7 @@ from repro.lb.adaptive import DegradationTrigger, ULBADegradationTrigger
 from repro.lb.base import LBContext, TriggerPolicy, WorkloadPolicy
 from repro.lb.centralized import CentralizedLoadBalancer, LBStepReport
 from repro.lb.standard import StandardPolicy
-from repro.lb.wir import BatchWIRDatabase, OverloadDetector, WIREstimateArray
+from repro.lb.wir import BatchWIRDatabase, WIREstimateArray
 from repro.partitioning.stripe import StripePartition, StripePartitioner
 from repro.obs.clock import wall_clock
 from repro.runtime.degradation import BatchDegradationTracker
@@ -328,9 +328,11 @@ class BatchRunner:
         self.partitions: List[StripePartition] = [
             self.partitioner.uniform_partition(num_columns) for _ in range(replicas)
         ]
-        self._stripe_starts: List[Optional[np.ndarray]] = [
-            self._starts_of(p) for p in self.partitions
-        ]
+        self._stripe_starts = [self._starts_of(p) for p in self.partitions]
+        #: Every replica's reduceat offsets into the flattened column buffer.
+        self._concat_starts = np.concatenate(
+            [starts + r * num_columns for r, starts in enumerate(self._stripe_starts)]
+        )
         #: Per-replica column loads, copied once per iteration so the
         #: per-stripe sums of every replica are one concatenated reduceat.
         self._cols_buf = np.empty((replicas, num_columns), dtype=float)
@@ -338,8 +340,6 @@ class BatchRunner:
         self._column_sources = list(
             zip(self._cols_buf, [app.column_loads for app in self.applications])
         )
-        self._concat_starts: Optional[np.ndarray] = None
-        self._refresh_concat_starts()
         self._total_iterations: Optional[int] = None
 
     def _load_balancer(
@@ -384,86 +384,42 @@ class BatchRunner:
         ``"standard"``: every trigger is exactly a
         :class:`~repro.lb.adaptive.DegradationTrigger` (threshold = margin x
         average LB cost, no WIR reads).  ``"ulba"``: every trigger is
-        exactly a :class:`~repro.lb.adaptive.ULBADegradationTrigger` with
-        plain identically-parameterized :class:`OverloadDetector` instances,
-        so the runner adds the trigger's Eq. 11 overhead inline, for the
-        candidate replicas only.  Anything else returns ``None`` and the
-        runner calls ``should_balance`` per replica with a full context --
-        same results, just slower.
+        exactly a :class:`~repro.lb.adaptive.ULBADegradationTrigger`, so the
+        runner adds the trigger's Eq. 11 overhead inline, with each
+        replica's own detector, for the candidate replicas only.  Anything
+        else returns ``None`` and the runner calls ``should_balance`` per
+        replica with a full context -- same results, just slower.
         """
         if all(type(t) is ULBADegradationTrigger for t in triggers):
-            detectors = [t.detector for t in triggers]
-            first = detectors[0]
-            if all(
-                type(d) is OverloadDetector
-                and d.threshold == first.threshold
-                and d.min_population == first.min_population
-                for d in detectors
-            ):
-                return "ulba"
-            return None
+            return "ulba"
         if all(type(t) is DegradationTrigger for t in triggers):
             return "standard"
         return None
 
     @staticmethod
-    def _starts_of(partition: StripePartition) -> Optional[np.ndarray]:
-        """reduceat start offsets of a partition, or None when degenerate.
+    def _starts_of(partition: StripePartition) -> np.ndarray:
+        """reduceat start offsets of a partition.
 
-        ``None`` flags a partition with empty stripes, which ``reduceat``
-        mishandles and the prefix-sum fallback of :meth:`_stripe_loads`
-        serves instead.
+        Every partition comes from
+        :func:`~repro.partitioning.weighted.partition_contiguous`, whose
+        stripes are never empty, so ``reduceat`` sums each stripe exactly.
         """
-        bounds = np.asarray(partition.partition.boundaries)
-        starts = bounds[:-1]
-        if (bounds[1:] > starts).all():
-            return starts
-        return None
+        return np.asarray(partition.partition.boundaries[:-1])
 
     def _stripe_loads(self, replica: int, column_loads: np.ndarray) -> np.ndarray:
         """Per-stripe workload sums of one replica under its partition."""
-        starts = self._stripe_starts[replica]
-        if starts is not None:
-            return np.add.reduceat(column_loads, starts)
-        # repro: noqa[FLOW-HOT] -- degenerate-partition fallback: reached only when a stripe is empty, never on the steady-state path
-        bounds = np.asarray(self.partitions[replica].partition.boundaries)
-        # repro: noqa[FLOW-HOT] -- same fallback path; the reduceat fast path above serves every non-degenerate iteration
-        prefix = np.concatenate(([0.0], np.cumsum(column_loads)))
-        return prefix[bounds[1:]] - prefix[bounds[:-1]]
+        return np.add.reduceat(column_loads, self._stripe_starts[replica])
 
-    def _refresh_concat_starts(self) -> None:
-        """Rebuild the concatenated reduceat offsets of all replicas.
+    def _stripe_loads_all(self) -> np.ndarray:
+        """``(R, P)`` stripe sums of every replica from the column buffer.
 
         One ``np.add.reduceat`` over the flattened ``(R * C,)`` column
         buffer computes every replica's stripe sums at once; segment sums
         are independent, so the result is bit-identical to ``R`` separate
-        reduceats.  Degenerate partitions (empty stripes) disable the
-        concatenation and fall back to the per-replica path.
+        reduceats.
         """
-        if all(starts is not None for starts in self._stripe_starts):
-            columns = self._num_columns
-            self._concat_starts = np.concatenate(
-                [
-                    self._stripe_starts[r] + r * columns
-                    for r in range(self.num_replicas)
-                ]
-            )
-        else:
-            self._concat_starts = None
-
-    def _stripe_loads_all(self) -> np.ndarray:
-        """``(R, P)`` stripe sums of every replica from the column buffer."""
-        if self._concat_starts is not None:
-            flat = np.add.reduceat(self._cols_buf.reshape(-1), self._concat_starts)
-            return flat.reshape(self.num_replicas, self.num_pes)
-        # repro: noqa[FLOW-HOT] -- degenerate-partition fallback: the concatenated reduceat above serves every non-degenerate iteration
-        return np.stack(
-            # repro: noqa[FLOW-HOT] -- same fallback path as the stack above
-            [
-                self._stripe_loads(r, self._cols_buf[r])
-                for r in range(self.num_replicas)
-            ]
-        )
+        flat = np.add.reduceat(self._cols_buf.reshape(-1), self._concat_starts)
+        return flat.reshape(self.num_replicas, self.num_pes)
 
     def _fill_columns(self) -> None:
         """Copy every application's current column loads into the buffer."""
@@ -493,6 +449,33 @@ class BatchRunner:
             total_iterations=self._total_iterations,
         )
 
+    def _ulba_threshold(
+        self, replica: int, base: float, stripe_loads: np.ndarray
+    ) -> float:
+        """``base`` plus the ULBA overhead of Eq. 11 for one replica.
+
+        Bitwise :meth:`ULBADegradationTrigger.threshold` of the replica's
+        context (``base`` is its ``margin x average LB cost``), without
+        building the context: the replica's detector counts the overloading
+        entries of rank 0's compacted view.
+        """
+        trigger = self.trigger_policies[replica]
+        P = self.num_pes
+        n = trigger.detector.overloading_count(
+            self.wir_db.replica(replica).known_values(0)
+        )
+        if not 0 < n < P:
+            return base
+        workloads = stripe_loads * self.applications[replica].flop_per_load_unit
+        return base + (
+            trigger.alpha
+            * n
+            / (P - n)
+            # repro: noqa[FLOW-HOT] -- sequential Python-float sum is bit-identical to ULBADegradationTrigger's tuple sum; np.sum's pairwise summation rounds differently
+            * sum(workloads.tolist())
+            / (self.state.speed * P)
+        )
+
     # ------------------------------------------------------------------
     def _execute_lb_step(
         self,
@@ -516,12 +499,9 @@ class BatchRunner:
             self._on_lb_step(iteration, report)
         self.partitions[r] = report.partition
         starts = self._stripe_starts[r] = self._starts_of(report.partition)  # repro: noqa[FLOW-HOT] -- O(P) starts vector rebuilt once per LB step, not per iteration
-        if starts is not None and self._concat_starts is not None:
-            self._concat_starts[r * self.num_pes : (r + 1) * self.num_pes] = (
-                starts + r * self._num_columns
-            )
-        else:
-            self._refresh_concat_starts()  # repro: noqa[FLOW-HOT] -- concatenated starts cache rebuilt once per LB step, not per iteration
+        self._concat_starts[r * self.num_pes : (r + 1) * self.num_pes] = (
+            starts + r * self._num_columns
+        )
         self._last_lb_arr[r] = iteration + 1
         if self._trigger_fast_mode is not None:
             self._avg_cost_buf[r] = self._average_lb_cost(r)
@@ -686,23 +666,9 @@ class BatchRunner:
                     r = int(r)
                     threshold = float(base_thresholds[r])
                     if fast_mode == "ulba":
-                        trigger = self.trigger_policies[r]
-                        n = trigger.detector.overloading_count(
-                            self.wir_db.replica(r).known_values(0)
+                        threshold = self._ulba_threshold(
+                            r, threshold, new_stripe_loads[r]
                         )
-                        if 0 < n < P:
-                            workloads = (
-                                new_stripe_loads[r]
-                                * self.applications[r].flop_per_load_unit
-                            )
-                            threshold = threshold + (
-                                trigger.alpha
-                                * n
-                                / (P - n)
-                                # repro: noqa[FLOW-HOT] -- sequential Python-float sum is bit-identical to ULBADegradationTrigger's tuple sum; np.sum's pairwise summation rounds differently
-                                * sum(workloads.tolist())
-                                / (state.speed * P)
-                            )
                     if self.degradation.degradation_of(r) >= threshold:
                         fired.append(r)
                 np.copyto(stripe_loads, new_stripe_loads)

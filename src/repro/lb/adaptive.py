@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 from repro.lb.base import LBContext, TriggerPolicy
 from repro.lb.wir import LazyWIRViews, OverloadDetector
 from repro.utils.validation import check_fraction, check_positive_int
@@ -142,24 +144,16 @@ class ULBADegradationTrigger(DegradationTrigger):
 
     def _estimate_overhead(self, context: LBContext) -> float:
         num_pes = context.num_pes
-        # Only the *number* of overloading PEs enters Eq. 11, so the fast
-        # path counts z-score exceedances on rank 0's compacted view array
-        # (same statistics, same comparisons as the dict-based ranks list);
-        # this runs every iteration, not just at LB steps.
+        # Only the *number* of overloading PEs enters Eq. 11: count z-score
+        # exceedances within rank 0's view, read as a compacted array from
+        # a WIR database's lazy views (no dict) or in dict order from plain
+        # per-rank views; this runs every iteration, not just at LB steps.
         views = context.wir_views
-        if (
-            isinstance(views, LazyWIRViews)
-            and type(self.detector) is OverloadDetector
-        ):
+        if isinstance(views, LazyWIRViews):
             rates = views.known_values(0)
-            if rates.size == 0:
-                return 0.0
-            n = self.detector.overloading_count(rates)
         else:
-            view = context.wir_view_of(0)
-            if not view:
-                return 0.0
-            n = len(self.detector.overloading_ranks(view))
+            rates = np.fromiter(context.wir_view_of(0).values(), dtype=float)
+        n = self.detector.overloading_count(rates)
         if n == 0 or n >= num_pes:
             return 0.0
         return (

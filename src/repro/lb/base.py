@@ -45,7 +45,9 @@ class LBContext:
         are identical.  Any sequence of per-rank dictionaries is accepted;
         the runtime passes a lazily materialized sequence
         (:class:`repro.lb.wir.LazyWIRViews`) so per-rank dictionaries are
-        only built when a policy actually inspects them.
+        only built when a policy actually inspects them.  The sequence is
+        either empty (no rank knows anything) or holds exactly one view per
+        PE; any other length raises :class:`ValueError`.
     last_lb_iteration:
         Iteration of the previous LB call (0 when none happened yet).
     accumulated_degradation:
@@ -70,6 +72,13 @@ class LBContext:
     average_lb_cost: float = 0.0
     pe_speed: float = 1.0e9
     total_iterations: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if len(self.wir_views) not in (0, self.num_pes):
+            raise ValueError(
+                f"wir_views must be empty or hold one view per PE "
+                f"({self.num_pes}), got {len(self.wir_views)}"
+            )
 
     @property
     def num_pes(self) -> int:

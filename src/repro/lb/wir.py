@@ -11,15 +11,19 @@ Four pieces live here:
 * :class:`WIREstimate` -- per-PE online estimation of the WIR from observed
   per-iteration workloads (simple finite differences with an exponential
   moving average, honouring the principle of persistence).
-* :class:`WIREstimateArray` -- the vectorized form: one estimator state
-  vector for all ``P`` PEs, updated with a single batched EMA per iteration
-  (numerically identical to ``P`` scalar :class:`WIREstimate` updates).
+* :class:`WIREstimateArray` -- the vectorized form the engine runs: one
+  ``(R, P)`` estimator state for ``R`` replicas of ``P`` PEs, updated with a
+  single batched EMA per iteration (numerically identical to ``R * P``
+  scalar :class:`WIREstimate` updates).
 * :class:`BatchWIRDatabase` / :class:`WIRDatabase` -- the replicated board
   of WIR values for ``R`` replicas, and the view of one replica (a
   standalone ``WIRDatabase`` is a batch of one), built on the gossip
   substrate (:mod:`repro.simcluster.gossip`) or fed directly when gossip is
-  not simulated.
-* :class:`OverloadDetector` -- the z-score rule of Algorithm 1 (line 19).
+  not simulated.  A database is read per rank (:meth:`WIRDatabase.view`,
+  :meth:`WIRDatabase.known_values`) or all ranks at once
+  (:meth:`WIRDatabase.known_rows`).
+* :class:`OverloadDetector` -- the z-score rule of Algorithm 1 (line 19),
+  parameterized by its threshold and minimum population.
 """
 
 from __future__ import annotations
@@ -115,59 +119,33 @@ class WIREstimate:
         return self._num_observations
 
 
-class _WIREstimateRankView:
-    """Scalar-estimator facade over one rank of a :class:`WIREstimateArray`."""
-
-    __slots__ = ("_array", "_rank")
-
-    def __init__(self, array: "WIREstimateArray", rank: int) -> None:
-        self._array = array
-        self._rank = rank
-
-    @property
-    def rate(self) -> float:
-        """Current WIR estimate of this rank (FLOP per iteration)."""
-        return float(self._array._rates[self._rank])
-
-    @property
-    def num_observations(self) -> int:
-        """Number of workload observations seen by this rank."""
-        return int(self._array._num_observations[self._rank])
-
-
 class WIREstimateArray:
-    """Vectorized WIR estimators for all ``P`` PEs of a cluster.
+    """Vectorized WIR estimators for ``R`` replicas of ``P`` PEs.
 
-    Holds the state of ``P`` independent :class:`WIREstimate` instances as
-    flat vectors and performs the per-iteration update -- finite difference
-    of the observed workloads followed by an exponential moving average --
-    as one batched array operation.  The update is numerically identical
-    (same elementwise IEEE operations) to looping over ``P`` scalar
-    estimators, which the equivalence tests assert.
-
-    Iterating the array (or indexing it) yields lightweight per-rank views
-    exposing ``rate`` and ``num_observations``, preserving the shape of the
-    previous list-of-estimators API.
+    Holds the state of ``R * P`` independent :class:`WIREstimate` instances
+    as ``(R, P)`` matrices and performs the per-iteration update -- finite
+    difference of the observed workloads followed by an exponential moving
+    average -- as one batched array operation.  The update is numerically
+    identical (same elementwise IEEE operations) to looping over scalar
+    estimators, which the equivalence tests assert; a solo run is a batch of
+    one (``replicas=1``).
     """
 
     def __init__(
         self,
         num_pes: int,
         *,
+        replicas: int,
         smoothing: float = 0.5,
-        replicas: Optional[int] = None,
     ) -> None:
         check_positive_int(num_pes, "num_pes")
+        check_positive_int(replicas, "replicas")
         check_fraction(smoothing, "smoothing")
         if smoothing == 0.0:
             raise ValueError("smoothing must be > 0 (0 would never update)")
-        if replicas is not None:
-            check_positive_int(replicas, "replicas")
-            shape: "tuple[int, ...]" = (replicas, num_pes)
-        else:
-            shape = (num_pes,)
+        shape = (replicas, num_pes)
         self.num_pes = num_pes
-        #: Number of batched replicas, or ``None`` for the plain per-PE form.
+        #: Number of batched replicas (rows of every state matrix).
         self.replicas = replicas
         self.smoothing = float(smoothing)
         self._shape = shape
@@ -184,10 +162,9 @@ class WIREstimateArray:
     def observe(self, workloads: np.ndarray) -> np.ndarray:
         """Record every PE's workload at the current iteration.
 
-        With ``replicas=R`` the input is the ``(R, P)`` workload matrix and
-        all ``R * P`` estimators update in one batched EMA -- elementwise
-        identical to ``R`` solo arrays.  Returns the updated WIR array (a
-        reference to internal state; copy before mutating).
+        The input is the ``(R, P)`` workload matrix and all ``R * P``
+        estimators update in one batched EMA.  Returns the updated WIR
+        matrix (a reference to internal state; copy before mutating).
         """
         w = np.asarray(workloads, dtype=float)
         if w.shape != self._shape:
@@ -206,33 +183,15 @@ class WIREstimateArray:
         return self._rates
 
     @hot_path  # audited: defensive asarray is a no-op on the runner's float64 input
-    def reset_after_migration(self, workloads: np.ndarray) -> None:
-        """Re-anchor every estimator after a LB step moved work around.
-
-        The jump in workload caused by migration is not application dynamics
-        and must not pollute the WIR; the rate estimates are kept
-        (persistence), only the anchor workloads are replaced.
-        """
-        w = np.asarray(workloads, dtype=float)
-        if w.shape != self._shape:
-            raise ValueError(
-                f"workloads must have shape {self._shape}, got {w.shape}"
-            )
-        if (w < 0).any():
-            raise ValueError("workloads must all be >= 0")
-        np.copyto(self._last_workloads, w)
-
-    @hot_path  # audited: defensive asarray is a no-op on the runner's float64 input
     def reset_replica_after_migration(
         self, replica: int, workloads: np.ndarray
     ) -> None:
-        """Re-anchor the estimators of one replica row (batched form only).
+        """Re-anchor the estimators of one replica after its LB step.
 
-        The batched runner calls this when a single replica's LB step moved
-        work around while the other replicas kept their anchors.
+        The jump in workload caused by migration is not application dynamics
+        and must not pollute the WIR; the rate estimates are kept
+        (persistence), only the replica's anchor workloads are replaced.
         """
-        if self.replicas is None:
-            raise ValueError("reset_replica_after_migration requires replicas=R")
         if not 0 <= replica < self.replicas:
             raise ValueError(f"replica {replica} outside [0, {self.replicas})")
         w = np.asarray(workloads, dtype=float)
@@ -248,24 +207,8 @@ class WIREstimateArray:
     # ------------------------------------------------------------------
     @property
     def rates(self) -> np.ndarray:
-        """Current per-PE WIR estimates (copy)."""
+        """Current ``(R, P)`` WIR estimates (copy)."""
         return self._rates.copy()
-
-    def __len__(self) -> int:
-        return self.num_pes
-
-    def __getitem__(self, rank: int) -> _WIREstimateRankView:
-        if self.replicas is not None:
-            raise TypeError(
-                "per-rank views are only available on the unbatched form; "
-                "index the .rates matrix instead"
-            )
-        if not 0 <= rank < self.num_pes:
-            raise IndexError(f"rank {rank} outside [0, {self.num_pes})")
-        return _WIREstimateRankView(self, rank)
-
-    def __iter__(self):
-        return (self[rank] for rank in range(self.num_pes))
 
 
 class LazyWIRViews:
@@ -394,10 +337,6 @@ class WIRDatabase:
         self._board = batch._boards[replica] if batch._boards is not None else None
         self._instant_values = batch._instant_values[replica]
         self._instant_known = batch._instant_known[replica]
-        # Instant mode shares one view: a live read-only (P, P) broadcast.
-        self._instant_matrix = np.broadcast_to(
-            self._instant_values, (self.num_ranks, self.num_ranks)
-        )
 
     # ------------------------------------------------------------------
     def publish(self, rank: int, wir: float) -> None:
@@ -459,10 +398,6 @@ class WIRDatabase:
         """
         return LazyWIRViews(self)
 
-    def values(self, rank: int) -> List[float]:
-        """Known WIR values as a list (order unspecified)."""
-        return list(self.view(rank).values())
-
     def known_values(self, rank: int) -> np.ndarray:
         """``rank``'s known WIRs, compacted in ascending source order.
 
@@ -474,30 +409,8 @@ class WIRDatabase:
             raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
         return self._instant_values[self._instant_known]
 
-    def own_rate(self, rank: int) -> Optional[float]:
-        """The WIR rank ``rank`` published for itself, if any."""
-        if self._board is not None:
-            return self._board.own_value(rank)
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
-        if not self._instant_known[rank]:
-            return None
-        return float(self._instant_values[rank])
-
-    def complete_matrix(self) -> Optional[np.ndarray]:
-        """The full ``(P, P)`` view matrix once every entry is known.
-
-        In instant mode every rank shares the same (complete) view, so the
-        matrix is a broadcast of the value vector.  Read-only.
-        """
-        if self._board is not None:
-            return self._board.complete_matrix()
-        if not self._instant_known.all():
-            return None
-        return self._instant_matrix
-
     def known_rows(self) -> KnownRows:
-        """Every rank's :meth:`known_values` and :meth:`own_rate` at once.
+        """Every rank's :meth:`known_values` and own WIR at once.
 
         In instant mode every rank's row is the one shared view, given once.
         """
@@ -507,10 +420,6 @@ class WIRDatabase:
         return KnownRows(
             row, np.full(self.num_ranks, row.size), self._instant_values, self._instant_known
         )
-
-    def coverage(self, rank: int) -> float:
-        """Fraction of ranks whose WIR is known by ``rank``."""
-        return len(self.view(rank)) / self.num_ranks
 
 
 class BatchWIRDatabase:
@@ -604,6 +513,11 @@ class OverloadDetector:
     the distribution of all known WIRs exceeds ``threshold`` (3.0 in the
     paper).  With fewer than ``min_population`` known values the detector
     reports "not overloading" (not enough evidence).
+
+    The rule has one vectorized implementation, :meth:`_group_flags`:
+    :meth:`overloading_mask` applies it to every rank's own view and
+    :meth:`overloading_count` to the entries of one view.
+    :meth:`is_overloading` is the scalar reference they are tested against.
     """
 
     threshold: float = 3.0
@@ -614,48 +528,22 @@ class OverloadDetector:
         check_positive_int(self.min_population, "min_population")
 
     def is_overloading(self, own_rate: float, all_rates: Sequence[float]) -> bool:
-        """Apply the z-score rule to one PE."""
+        """Apply the z-score rule to one PE (the scalar reference)."""
         rates = list(all_rates)
         if len(rates) < self.min_population:
             return False
         return zscore(own_rate, rates) >= self.threshold
 
-    def overloading_ranks(self, rates_by_rank: Dict[int, float]) -> List[int]:
-        """All ranks flagged as overloading within a common view.
-
-        The population statistics are computed once and applied to every
-        rank (same floats as per-rank :meth:`is_overloading` calls, which
-        would recompute the identical mean/std ``P`` times).
-        """
-        values = list(rates_by_rank.values())
-        if len(values) < self.min_population:
-            return []
-        pop = np.asarray(values, dtype=float)
-        mean = float(pop.mean())
-        std = float(pop.std())
-        if std == 0.0:
-            # zscore defines a constant population as all-zero scores, and
-            # the threshold is strictly positive.
-            return []
-        return [
-            rank
-            for rank, rate in sorted(rates_by_rank.items())
-            if (float(rate) - mean) / std >= self.threshold
-        ]
-
     def overloading_count(self, rates: "np.ndarray") -> int:
-        """Number of overloading entries within one common view, vectorized.
+        """Number of overloading entries within one common view.
 
-        ``rates`` is a compacted value array (one rank's view); the count
-        equals ``len(overloading_ranks(...))`` on the corresponding dict --
-        same mean/std, same per-entry z comparison -- without building it.
+        ``rates`` is one rank's compacted view; every entry is scored
+        against the view's own mean/std (:meth:`_group_flags` on one row),
+        the count of Eq. 11's ``N``.
         """
         if rates.size < self.min_population:
             return 0
-        mean, std = _mean_std(rates)
-        if std == 0.0:
-            return 0
-        return int(np.count_nonzero((rates - mean) / std >= self.threshold))
+        return int(np.count_nonzero(self._group_flags(rates[None], rates)))
 
     def overloading_mask(self, rows: KnownRows) -> np.ndarray:
         """Algorithm 1's per-rank rule for every rank at once.
@@ -667,29 +555,16 @@ class OverloadDetector:
         the statistics of per-row ``np.mean``/``np.std``, so the flags equal
         per-rank :meth:`is_overloading` calls.  When every rank is in one
         group the values already are its matrix (no gather), and a shared
-        row is evaluated once.  A subclass that overrides
-        :meth:`is_overloading` has it called per rank.
+        row is evaluated once.
         """
         values, counts, own, has_own = rows
-        custom = type(self).is_overloading is not OverloadDetector.is_overloading
         eligible = has_own & (counts >= self.min_population)
-        if not custom and eligible.all() and (counts == counts[0]).all():
+        if eligible.all() and (counts == counts[0]).all():
             return self._group_flags(values.reshape(-1, counts[0]), own)
         if values.size == counts.sum():
             starts = np.cumsum(counts) - counts
         else:  # one shared row
             starts = np.zeros_like(counts)
-        if custom:
-            return np.array(
-                [
-                    bool(has_own[r])
-                    and self.is_overloading(
-                        float(own[r]), values[starts[r] : starts[r] + counts[r]]
-                    )
-                    for r in range(counts.size)
-                ],
-                dtype=bool,
-            )
         flags = np.zeros(counts.size, dtype=bool)
         for width in np.unique(counts[eligible]):
             members = np.flatnonzero(eligible & (counts == width))

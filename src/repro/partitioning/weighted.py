@@ -158,6 +158,7 @@ def partition_contiguous(
     Returns
     -------
     Partition1D
+        Strictly increasing boundaries: every part holds at least one item.
     """
     check_positive_int(num_parts, "num_parts")
     w = np.asarray(weights, dtype=float)
@@ -209,11 +210,10 @@ def partition_contiguous(
         # Cut at the item boundary whose prefix sum is closest to the target,
         # while keeping at least (num_parts - part - 1) items for the rest
         # and never moving backwards.
+        # lo <= hi by induction (w.size >= num_parts and every earlier cut
+        # respected its hi), so each part keeps at least one item.
         lo = boundaries[-1] + 1
         hi = w.size - (num_parts - part - 1)
-        if lo > hi:
-            boundaries.append(boundaries[-1])
-            continue
         idx = int(np.searchsorted(prefix, target, side="left"))
         candidates = [c for c in (idx - 1, idx, idx + 1) if lo <= c <= hi]
         if not candidates:

@@ -35,7 +35,6 @@ from repro.simcluster.gossip import (
     GossipBoard,
     GossipConfig,
     SparseGossipBoard,
-    make_gossip_board,
     select_push_targets,
 )
 from repro.simcluster.tracing import (
@@ -58,6 +57,5 @@ __all__ = [
     "SparseGossipBoard",
     "VirtualClock",
     "VirtualCluster",
-    "make_gossip_board",
     "select_push_targets",
 ]

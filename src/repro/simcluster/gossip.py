@@ -29,9 +29,8 @@ Two board implementations share those semantics:
 * the **dense** board: :class:`BatchGossipBoard` stores ``R`` independent
   boards as one ``(R, P, P)`` pair and steps them together, and
   :class:`GossipBoard` is one replica of it (a standalone ``GossipBoard``
-  is a batch of one).  ``O(P^2)`` memory per replica, every rank eventually
-  knows every value, and the ULBA fast paths can read the full view matrix.
-  The right choice up to a few hundred PEs.
+  is a batch of one).  ``O(P^2)`` memory per replica, and every rank
+  eventually knows every value.  The right choice up to a few hundred PEs.
 * :class:`SparseGossipBoard` -- the **memory-bounded** board for the large-P
   regime (P >= 1024): each rank keeps at most ``view_size`` entries
   (``O(P * view_size)`` memory total), pushes along a configurable topology
@@ -47,7 +46,10 @@ Two board implementations share those semantics:
   versions spread too far for 63 bits, their ranks among the round's
   distinct versions replace them (same order, fewer bits).
 
-:func:`make_gossip_board` selects the implementation from
+Both boards are read the same way: :meth:`~GossipBoard.local_view` (one
+rank's dict), :meth:`~GossipBoard.known_values_row` (one rank's compacted
+values) and :meth:`~GossipBoard.known_rows` (every rank at once).
+:class:`repro.lb.wir.BatchWIRDatabase` selects the implementation from
 :attr:`GossipConfig.mode`.
 """
 
@@ -67,7 +69,6 @@ __all__ = [
     "GossipBoard",
     "KnownRows",
     "SparseGossipBoard",
-    "make_gossip_board",
     "select_push_targets",
     "sparse_random_push_targets",
     "topology_push_targets",
@@ -404,11 +405,6 @@ class GossipBoard(_PushBoard):
         row = self._values[rank]
         return {int(src): float(row[src]) for src in known}
 
-    def known_mask(self, rank: int) -> np.ndarray:
-        """Boolean mask of the source ranks whose value ``rank`` knows."""
-        self._check_rank(rank)
-        return self._versions[rank] >= 0
-
     def known_values_row(self, rank: int) -> np.ndarray:
         """The values ``rank`` knows, compacted in ascending source order.
 
@@ -433,38 +429,11 @@ class GossipBoard(_PushBoard):
             values, counts, self._values.diagonal(), self._versions.diagonal() >= 0
         )
 
-    def values_row(self, rank: int) -> np.ndarray:
-        """Raw value row of ``rank`` (entries only valid where known)."""
-        self._check_rank(rank)
-        return self._values[rank]
-
-    def known_fraction(self, rank: int) -> float:
-        """Fraction of ranks whose value is known by ``rank``."""
-        self._check_rank(rank)
-        return float((self._versions[rank] >= 0).sum()) / self.num_ranks
-
-    def own_value(self, rank: int) -> Optional[float]:
-        """The value ``rank`` published for itself, if any."""
-        self._check_rank(rank)
-        if self._versions[rank, rank] < 0:
-            return None
-        return float(self._values[rank, rank])
-
     def is_complete(self) -> bool:
         """True when every rank knows a value for every other rank."""
         if not self._complete:
             self._complete = bool((self._versions >= 0).all())
         return self._complete
-
-    def complete_matrix(self) -> Optional[np.ndarray]:
-        """The full ``(P, P)`` view matrix once every entry is known.
-
-        Row ``r`` is rank ``r``'s complete view in ascending source order --
-        the same numbers every per-rank dict view would yield.  Returns
-        ``None`` while any entry is still unknown.  The array is internal
-        state: callers must treat it as read-only.
-        """
-        return self._values if self.is_complete() else None
 
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -501,9 +470,8 @@ class SparseGossipBoard(_PushBoard):
     deterministic) and a rank's own entry -- pinned in slot 0 -- is never
     evicted.  Views are therefore *partial by design* and consumers must
     treat them like early-phase dense gossip views (the ULBA policies
-    already do, through :meth:`known_rows`); :meth:`complete_matrix`
-    returns ``None`` whenever the view bound can hide entries, so no
-    consumer reads a wrong matrix.
+    already do, through :meth:`known_rows`, whose ``counts`` give every
+    view's width).
 
     Push targets come from :attr:`GossipConfig.topology`: ``random`` draws
     ``fanout`` uniform peers per rank with one batched ``(P, fanout)``
@@ -572,13 +540,6 @@ class SparseGossipBoard(_PushBoard):
         order = np.argsort(srcs)
         return {int(srcs[i]): float(vals[i]) for i in order}
 
-    def known_mask(self, rank: int) -> np.ndarray:
-        """Boolean mask over source ranks whose value ``rank`` knows."""
-        self._check_rank(rank)
-        mask = np.zeros(self.num_ranks, dtype=bool)
-        mask[self._src[rank][self._ver[rank] >= 0]] = True
-        return mask
-
     def known_values_row(self, rank: int) -> np.ndarray:
         """The values ``rank`` knows, compacted in ascending source order.
 
@@ -612,18 +573,6 @@ class SparseGossipBoard(_PushBoard):
             self._ver[:, 0] >= 0,
         )
 
-    def own_value(self, rank: int) -> Optional[float]:
-        """The value ``rank`` published for itself, if any."""
-        self._check_rank(rank)
-        if self._ver[rank, 0] < 0:
-            return None
-        return float(self._val[rank, 0])
-
-    def known_fraction(self, rank: int) -> float:
-        """Fraction of ranks whose value is known by ``rank``."""
-        self._check_rank(rank)
-        return float((self._ver[rank] >= 0).sum()) / self.num_ranks
-
     def is_complete(self) -> bool:
         """True when every rank knows every value (requires an unbounded view)."""
         if self.view_size < self.num_ranks:
@@ -631,20 +580,6 @@ class SparseGossipBoard(_PushBoard):
         if not self._complete:
             self._complete = bool((self._ver >= 0).all())
         return self._complete
-
-    def complete_matrix(self) -> Optional[np.ndarray]:
-        """The full ``(P, P)`` view matrix, or ``None`` while any view is partial.
-
-        Only an unbounded sparse board (``view_size >= P``) can ever be
-        complete; a bounded board always returns ``None`` here.  Unlike
-        the dense board this materializes a fresh matrix per call.
-        """
-        if not self.is_complete():
-            return None
-        rows = np.repeat(np.arange(self.num_ranks), self.view_size)
-        matrix = np.empty((self.num_ranks, self.num_ranks), dtype=float)
-        matrix[rows, self._src.reshape(-1)] = self._val.reshape(-1)
-        return matrix
 
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -779,25 +714,6 @@ class SparseGossipBoard(_PushBoard):
         new_val.reshape(-1)[slots] = self._val.reshape(-1)[kept]
         new_ver.reshape(-1)[slots] = self._ver.reshape(-1)[kept]
         self._src, self._val, self._ver = new_src, new_val, new_ver
-
-
-def make_gossip_board(
-    num_ranks: int,
-    *,
-    config: Optional[GossipConfig] = None,
-    seed: SeedLike = None,
-) -> "GossipBoard | SparseGossipBoard":
-    """Build the board implementation selected by ``config.mode``.
-
-    ``dense`` (the default) returns the exact historical
-    :class:`GossipBoard` -- bit-identical RNG stream and merges -- so
-    existing seeded runs are unaffected; ``sparse`` returns the
-    memory-bounded :class:`SparseGossipBoard`.
-    """
-    cfg = config or GossipConfig()
-    if cfg.mode == "sparse":
-        return SparseGossipBoard(num_ranks, config=cfg, seed=seed)
-    return GossipBoard(num_ranks, config=cfg, seed=seed)
 
 
 class BatchGossipBoard(_PushBoard):

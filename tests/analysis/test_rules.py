@@ -154,6 +154,11 @@ class TestDeterminismNegatives:
         source = "time = object()\nx = 1\n"
         assert _rules_of(lint_source(source, "repro/pkg/mod.py")) == []
 
+    def test_relative_import_not_confused_with_stdlib(self):
+        # `.time` is a sibling module of the package, not the stdlib clock.
+        source = "from .time import perf_counter\nstart = perf_counter()\n"
+        assert _rules_of(lint_source(source, "repro/pkg/mod.py")) == []
+
 
 class TestSpawnNegatives:
     def test_module_level_function_submission_allowed(self):

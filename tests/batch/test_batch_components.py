@@ -115,13 +115,16 @@ class TestBatchedWIREstimators:
     def test_batched_ema_matches_solo_arrays(self):
         replicas, num_pes = 3, 6
         batch = WIREstimateArray(num_pes, smoothing=0.5, replicas=replicas)
-        solos = [WIREstimateArray(num_pes, smoothing=0.5) for _ in range(replicas)]
+        solos = [
+            WIREstimateArray(num_pes, smoothing=0.5, replicas=1)
+            for _ in range(replicas)
+        ]
         rng = np.random.default_rng(7)
         for _ in range(20):
             w = rng.random((replicas, num_pes)) * 10.0
             batched = batch.observe(w)
             for r, solo in enumerate(solos):
-                assert np.array_equal(solo.observe(w[r]), batched[r])
+                assert np.array_equal(solo.observe(w[r : r + 1])[0], batched[r])
 
     def test_reset_replica_after_migration(self):
         batch = WIREstimateArray(4, replicas=2)
@@ -136,13 +139,12 @@ class TestBatchedWIREstimators:
         assert (rates[1] > rates[0]).all()
 
     def test_reset_replica_requires_batched_form(self):
-        with pytest.raises(ValueError, match="replicas"):
-            WIREstimateArray(4).reset_replica_after_migration(0, np.zeros(4))
-
-    def test_per_rank_views_unavailable_when_batched(self):
-        batch = WIREstimateArray(4, replicas=2)
-        with pytest.raises(TypeError, match="unbatched"):
-            batch[0]
+        with pytest.raises(TypeError, match="replicas"):
+            WIREstimateArray(4)
+        with pytest.raises(ValueError, match="replica"):
+            WIREstimateArray(4, replicas=2).reset_replica_after_migration(
+                2, np.zeros(4)
+            )
 
     def test_shape_validation(self):
         batch = WIREstimateArray(4, replicas=2)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.batch import BatchRunner
 from repro.lb.adaptive import (
     DegradationTrigger,
     MenonIntervalTrigger,
@@ -12,7 +16,9 @@ from repro.lb.adaptive import (
     ULBADegradationTrigger,
 )
 from repro.lb.base import LBContext
-from repro.lb.wir import OverloadDetector
+from repro.lb.wir import BatchWIRDatabase, OverloadDetector
+from repro.runtime.synthetic import SyntheticGrowthApplication
+from repro.simcluster.gossip import GossipConfig
 
 
 def make_context(
@@ -203,3 +209,83 @@ class TestULBADegradationTrigger:
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             ULBADegradationTrigger(alpha=-0.1)
+
+
+class TestULBATriggerCountPaths:
+    """One Eq. 11 threshold from every source of rank 0's WIR view."""
+
+    @given(
+        num=st.integers(2, 40),
+        mode=st.sampled_from(["dense", "sparse", "instant"]),
+        view_size=st.integers(2, 12),
+        rounds=st.integers(0, 6),
+        threshold=st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+        min_population=st.integers(1, 8),
+        alpha=st.floats(0.05, 1.0),
+        lb_cost=st.floats(0.0, 10.0),
+        outliers=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_property_threshold_agrees_across_view_forms(
+        self,
+        num,
+        mode,
+        view_size,
+        rounds,
+        threshold,
+        min_population,
+        alpha,
+        lb_cost,
+        outliers,
+        data,
+    ):
+        """The trigger's threshold on a database's lazy views equals the one
+        on the same views as plain per-rank dicts (the reference runner's
+        input) and the batch engine's inline fast-path threshold, bit for
+        bit, on dense, sparse and instant databases with partial views."""
+        config = (
+            GossipConfig(mode=mode, view_size=view_size) if mode != "instant" else None
+        )
+        wir_db = BatchWIRDatabase(
+            num, [num], use_gossip=mode != "instant", gossip_config=config
+        )
+        db = wir_db.replica(0)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rates = rng.random(num)
+        rates[rng.choice(num, size=min(outliers, num), replace=False)] += 50.0
+        publishers = data.draw(
+            st.lists(st.integers(0, num - 1), unique=True, max_size=num),
+            label="publishers",
+        )
+        for rank in publishers:
+            db.publish(rank, rates[rank])
+        for _ in range(rounds):
+            db.disseminate()
+
+        trigger = ULBADegradationTrigger(
+            alpha,
+            detector=OverloadDetector(threshold=threshold, min_population=min_population),
+        )
+        app = SyntheticGrowthApplication(2 * num, flop_per_load_unit=3.0e5)
+        runner = BatchRunner(
+            num, [app], seeds=[0], trigger_policies=[trigger], pe_speed=2.5e9
+        )
+        runner.wir_db = wir_db
+        stripe_loads = rng.random(num) * 100.0
+        workloads = stripe_loads * app.flop_per_load_unit
+
+        def context(views):
+            return LBContext(
+                iteration=5,
+                pe_workloads=tuple(workloads.tolist()),
+                wir_views=views,
+                average_lb_cost=lb_cost,
+                pe_speed=runner.state.speed,
+            )
+
+        lazy = trigger.threshold(context(db.views()))
+        dicts = trigger.threshold(context(tuple(db.view(r) for r in range(num))))
+        base = float(np.float64(trigger.cost_margin) * lb_cost)
+        inline = runner._ulba_threshold(0, base, stripe_loads)
+        assert lazy == dicts == inline
+

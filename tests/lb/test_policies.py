@@ -52,6 +52,17 @@ class TestLBContext:
         with pytest.raises(ValueError):
             ctx.wir_view_of(9)
 
+    @pytest.mark.parametrize("num_views", [3, 5])
+    def test_wrong_number_of_views_rejected(self, num_views):
+        views = tuple({0: 1.0} for _ in range(num_views))
+        with pytest.raises(ValueError, match="one view per PE"):
+            LBContext(iteration=1, pe_workloads=(1.0,) * 4, wir_views=views)
+
+    def test_no_views_or_one_per_pe_accepted(self):
+        for views in ((), tuple({} for _ in range(4))):
+            ctx = LBContext(iteration=1, pe_workloads=(1.0,) * 4, wir_views=views)
+            assert ctx.wir_view_of(3) == {}
+
 
 class TestLBDecision:
     def test_validation_shares_sum(self):

@@ -11,6 +11,7 @@ from repro.lb.wir import (
     OverloadDetector,
     WIRDatabase,
     WIREstimate,
+    WIREstimateArray,
     _mean_std,
     known_rows_of,
 )
@@ -27,6 +28,13 @@ def matrix_rows(matrix):
         matrix.diagonal(),
         np.ones(num, dtype=bool),
     )
+
+
+def shared_rows(rates, num):
+    """One view that ``num`` ranks share, given once (like instant mode):
+    rank ``r``'s own rate is ``rates[r]``."""
+    rates = np.asarray(rates, dtype=float)
+    return KnownRows(rates, np.full(num, rates.size), rates, np.ones(num, dtype=bool))
 
 
 class TestWIREstimate:
@@ -105,15 +113,16 @@ class TestWIRDatabase:
         db.publish(1, 3.0)
         for rank in range(4):
             assert db.view(rank) == {1: 3.0}
-        assert db.own_rate(1) == 3.0
-        assert db.own_rate(0) is None
+        rows = db.known_rows()
+        assert rows.own[1] == 3.0
+        assert rows.has_own.tolist() == [False, True, False, False]
 
     def test_instant_mode_coverage(self):
         db = WIRDatabase(4, use_gossip=False)
-        assert db.coverage(0) == 0.0
+        assert db.known_rows().counts.tolist() == [0, 0, 0, 0]
         db.publish(0, 1.0)
         db.publish(1, 1.0)
-        assert db.coverage(3) == 0.5
+        assert db.known_rows().counts.tolist() == [2, 2, 2, 2]
 
     def test_gossip_mode_stale_views(self):
         db = WIRDatabase(8, use_gossip=True, seed=0)
@@ -128,8 +137,8 @@ class TestWIRDatabase:
             db.publish(rank, float(rank))
         for _ in range(30):
             db.disseminate()
+        assert db.known_rows().counts.tolist() == [8] * 8
         for rank in range(8):
-            assert db.coverage(rank) == 1.0
             assert db.view(rank) == {r: float(r) for r in range(8)}
 
     def test_disseminate_noop_in_instant_mode(self):
@@ -142,7 +151,7 @@ class TestWIRDatabase:
         db = WIRDatabase(3, use_gossip=False)
         db.publish(0, 1.0)
         db.publish(2, 3.0)
-        assert sorted(db.values(1)) == [1.0, 3.0]
+        assert db.known_values(1).tolist() == [1.0, 3.0]
 
     def test_invalid_rank(self):
         db = WIRDatabase(2, use_gossip=False)
@@ -190,14 +199,19 @@ class TestOverloadDetector:
 
     def test_overloading_ranks(self):
         detector = OverloadDetector(threshold=3.0)
-        rates_by_rank = {r: 0.0 for r in range(31)}
-        rates_by_rank[7] = 500.0
-        assert detector.overloading_ranks(rates_by_rank) == [7]
+        rates = np.zeros(31)
+        rates[7] = 500.0
+        flags = detector.overloading_mask(shared_rows(rates, 31))
+        assert np.flatnonzero(flags).tolist() == [7]
+        assert detector.overloading_count(rates) == 1
 
     def test_overloading_ranks_sorted(self):
         detector = OverloadDetector(threshold=1.0)
         rates_by_rank = {5: 10.0, 1: 10.0, 3: 0.0, 0: 0.0, 2: 0.0, 4: 0.0}
-        assert detector.overloading_ranks(rates_by_rank) == [1, 5]
+        rows = known_rows_of([rates_by_rank] * 6, 6)
+        assert np.flatnonzero(detector.overloading_mask(rows)).tolist() == [1, 5]
+        rates = np.fromiter(rates_by_rank.values(), dtype=float)
+        assert detector.overloading_count(rates) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -252,7 +266,7 @@ class TestOverloadDetector:
             ]
             assert detector.overloading_mask(matrix_rows(matrix)).tolist() == expected
         count = detector.overloading_count(shared)
-        assert count == len(detector.overloading_ranks(dict(enumerate(shared))))
+        assert count == sum(detector.is_overloading(rate, shared) for rate in shared)
 
     def test_mask_threshold_boundary(self):
         """At z exactly 3.0 (one outlier among 10) the mask flags the rank,
@@ -266,21 +280,13 @@ class TestOverloadDetector:
             assert detector.overloading_count(rates) == int(expected)
 
 
-class _MaxGapDetector(OverloadDetector):
-    """A subclass rule: overloading when the own rate tops the view by ``threshold``."""
-
-    def is_overloading(self, own_rate, all_rates):
-        rates = sorted(all_rates)
-        return len(rates) >= 2 and own_rate - rates[-2] >= self.threshold
-
-
 def per_rank_flags(detector, db):
     """The per-rank rule, one ``is_overloading`` call per rank that knows itself."""
     flags = []
     for rank in range(db.num_ranks):
-        own = db.own_rate(rank)
+        view = db.view(rank)
         flags.append(
-            own is not None and detector.is_overloading(own, db.known_values(rank))
+            rank in view and detector.is_overloading(view[rank], list(view.values()))
         )
     return flags
 
@@ -314,14 +320,11 @@ class TestGroupedOverloadRule:
         for _ in range(rounds):
             db.disseminate()
         dicts = [db.view(rank) for rank in range(num)]
-        for detector in (
-            OverloadDetector(threshold=threshold, min_population=min_population),
-            _MaxGapDetector(threshold=threshold),
-        ):
-            expected = per_rank_flags(detector, db)
-            for rows in (db.known_rows(), known_rows_of(dicts, num)):
-                assert rows.counts.tolist() == [len(view) for view in dicts]
-                assert detector.overloading_mask(rows).tolist() == expected
+        detector = OverloadDetector(threshold=threshold, min_population=min_population)
+        expected = per_rank_flags(detector, db)
+        for rows in (db.known_rows(), known_rows_of(dicts, num)):
+            assert rows.counts.tolist() == [len(view) for view in dicts]
+            assert detector.overloading_mask(rows).tolist() == expected
 
     def test_partial_sparse_views_form_several_groups(self):
         num = 64
@@ -380,83 +383,46 @@ class TestGroupedOverloadRule:
         flags = OverloadDetector().overloading_mask(known_rows_of((), 4))
         assert flags.tolist() == [False] * 4
 
-    def test_subclass_rule_is_called_per_rank(self):
-        calls = []
-
-        class Recording(_MaxGapDetector):
-            def is_overloading(self, own_rate, all_rates):
-                calls.append((own_rate, list(all_rates)))
-                return super().is_overloading(own_rate, all_rates)
-
-        views = [{0: 10.0, 1: 1.0}, {0: 10.0, 1: 1.0, 2: 2.0}, {1: 1.0, 2: 9.0}, {0: 1.0}]
-        flags = Recording(threshold=5.0).overloading_mask(known_rows_of(views, 4))
-        assert flags.tolist() == [True, False, True, False]
-        # Rank 3 does not know its own rate: no call, like the per-rank loop.
-        assert calls == [
-            (10.0, [10.0, 1.0]),
-            (1.0, [10.0, 1.0, 2.0]),
-            (9.0, [1.0, 9.0]),
-        ]
-
 
 class TestWIREstimateArray:
     def test_matches_scalar_estimators(self):
-        from repro.lb.wir import WIREstimateArray
-
         rng = np.random.default_rng(4)
         num_pes = 7
-        array = WIREstimateArray(num_pes, smoothing=0.5)
+        array = WIREstimateArray(num_pes, smoothing=0.5, replicas=1)
         scalars = [WIREstimate(smoothing=0.5) for _ in range(num_pes)]
         for step in range(30):
             workloads = rng.random(num_pes) * 1e6
-            batched = array.observe(workloads)
+            batched = array.observe(workloads[None])
             expected = [
                 scalars[r].observe(float(workloads[r])) for r in range(num_pes)
             ]
-            assert batched.tolist() == expected
+            assert batched[0].tolist() == expected
             if step % 7 == 6:
                 anchors = rng.random(num_pes) * 1e6
-                array.reset_after_migration(anchors)
+                array.reset_replica_after_migration(0, anchors)
                 for r in range(num_pes):
                     scalars[r].reset_after_migration(float(anchors[r]))
-        for r in range(num_pes):
-            assert array[r].rate == scalars[r].rate
-            assert array[r].num_observations == scalars[r].num_observations
+        assert array.rates[0].tolist() == [scalar.rate for scalar in scalars]
 
     def test_first_observation_has_zero_rate(self):
-        from repro.lb.wir import WIREstimateArray
-
-        array = WIREstimateArray(3)
-        rates = array.observe(np.asarray([10.0, 20.0, 30.0]))
-        assert rates.tolist() == [0.0, 0.0, 0.0]
-
-    def test_iteration_yields_per_rank_views(self):
-        from repro.lb.wir import WIREstimateArray
-
-        array = WIREstimateArray(4)
-        array.observe(np.zeros(4))
-        array.observe(np.asarray([1.0, 2.0, 3.0, 4.0]))
-        rates = [view.rate for view in array]
-        assert rates == [1.0, 2.0, 3.0, 4.0]
-        assert len(array) == 4
-        assert array[2].rate == 3.0
+        array = WIREstimateArray(3, replicas=1)
+        rates = array.observe(np.asarray([[10.0, 20.0, 30.0]]))
+        assert rates.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_validation(self):
-        from repro.lb.wir import WIREstimateArray
-
         with pytest.raises(ValueError):
-            WIREstimateArray(0)
+            WIREstimateArray(0, replicas=1)
         with pytest.raises(ValueError):
-            WIREstimateArray(4, smoothing=0.0)
-        array = WIREstimateArray(4)
+            WIREstimateArray(4, replicas=0)
         with pytest.raises(ValueError):
-            array.observe(np.zeros(3))
+            WIREstimateArray(4, replicas=1, smoothing=0.0)
+        array = WIREstimateArray(4, replicas=1)
         with pytest.raises(ValueError):
-            array.observe(np.asarray([1.0, 1.0, 1.0, -1.0]))
+            array.observe(np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            array.reset_after_migration(np.asarray([-1.0, 0.0, 0.0, 0.0]))
-        with pytest.raises(IndexError):
-            array[4]
+            array.observe(np.asarray([[1.0, 1.0, 1.0, -1.0]]))
+        with pytest.raises(ValueError):
+            array.reset_replica_after_migration(0, np.asarray([-1.0, 0.0, 0.0, 0.0]))
 
 
 class TestLazyWIRViews:

@@ -2,8 +2,8 @@
 
 The sparse board's views are partial by design; these tests pin that the
 WIR database surfaces them through the same API as early-phase dense gossip
-(so the ULBA policies run unchanged), that the dense ``complete_matrix``
-fast paths degrade gracefully (return ``None``, never a wrong matrix), and
+(so the ULBA policies run unchanged), that every rank's view and own WIR
+read back through ``known_rows()`` on partial and complete views alike, and
 that the batched database's sparse replicas are bit-identical to solo
 sparse databases.
 """
@@ -52,29 +52,24 @@ class TestSparseWIRDatabase:
             # known_values matches the dict view in ascending source order.
             expected = [view[src] for src in sorted(view)]
             assert db.known_values(rank).tolist() == expected
-            assert db.coverage(rank) <= SPARSE.view_size / 16
+        assert db.known_rows().counts.tolist() == [len(db.view(r)) for r in range(16)]
 
     def test_own_rate_always_known(self):
         db = make_db()
         for _ in range(8):
             db.disseminate()
-        for rank in range(16):
-            assert db.own_rate(rank) == float(rank)
-
-    def test_complete_matrix_degrades_to_none(self):
-        db = make_db()
-        for _ in range(20):
-            db.disseminate()
-        assert db.complete_matrix() is None
+        rows = db.known_rows()
+        assert rows.has_own.all()
+        assert rows.own.tolist() == [float(rank) for rank in range(16)]
 
     def test_unbounded_sparse_completes_like_dense(self):
         cfg = GossipConfig(mode="sparse", fanout=2)
         db = make_db(config=cfg)
         for _ in range(30):
             db.disseminate()
-        matrix = db.complete_matrix()
-        assert matrix is not None
-        assert np.array_equal(matrix[0], np.arange(16.0))
+        rows = db.known_rows()
+        assert rows.counts.tolist() == [16] * 16
+        assert np.array_equal(rows.values.reshape(16, 16)[0], np.arange(16.0))
 
     def test_ulba_policy_decides_on_partial_views(self):
         """The ULBA per-rank rule runs on sparse views (no matrix path)."""
@@ -135,8 +130,8 @@ class TestBatchSparseDatabase:
                 assert np.array_equal(
                     replica.known_values(rank), solo.known_values(rank)
                 )
-                assert replica.own_rate(rank) == solo.own_rate(rank)
-            assert replica.complete_matrix() is None
+            for left, right in zip(replica.known_rows(), solo.known_rows()):
+                assert left.tobytes() == right.tobytes()
 
     @pytest.mark.parametrize("topology", ["ring", "hypercube"])
     def test_dense_batch_honours_deterministic_topologies(self, topology):
@@ -223,7 +218,7 @@ class TestSparseConfigRejection:
     def test_instant_mode_ignores_gossip_config(self):
         db = WIRDatabase(4, use_gossip=False, gossip_config=SPARSE)
         db.publish_all(np.arange(4.0))
-        assert db.complete_matrix() is not None
+        assert db.known_rows().counts.tolist() == [4] * 4
 
     def test_bad_view_size_rejected_at_config(self):
         with pytest.raises(ValueError):

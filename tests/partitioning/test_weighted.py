@@ -183,6 +183,41 @@ class TestPartitionContiguous:
         assert sum(p.part_sizes()) == len(weights)
 
     @given(
+        num_items=st.integers(min_value=1, max_value=150),
+        num_parts=st.integers(min_value=1, max_value=60),
+        all_zero=st.booleans(),
+        data=st.data(),
+    )
+    def test_property_parts_never_empty(self, num_items, num_parts, all_zero, data):
+        """Every part keeps at least one item -- zero weights, zero shares
+        and an all-zero total included -- so the engine's reduceat stripe
+        sums never meet an empty stripe."""
+        num_parts = min(num_parts, num_items)
+        weight = st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 1e6]), st.floats(0.0, 1e3)
+        )
+        weights = data.draw(
+            st.lists(weight, min_size=num_items, max_size=num_items), label="weights"
+        )
+        if all_zero:
+            weights = [0.0] * num_items
+        shares = data.draw(
+            st.none()
+            | st.lists(
+                st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                min_size=num_parts,
+                max_size=num_parts,
+            ),
+            label="shares",
+        )
+        if shares is not None and sum(shares) <= 0.0:
+            shares[data.draw(st.integers(0, num_parts - 1), label="nonzero")] = 1.0
+        bounds = np.asarray(partition_contiguous(weights, num_parts, shares).boundaries)
+        assert bounds.size == num_parts + 1
+        assert (bounds[0], bounds[-1]) == (0, num_items)
+        assert (np.diff(bounds) >= 1).all()
+
+    @given(
         num_items=st.integers(min_value=32, max_value=300),
         num_parts=st.integers(min_value=2, max_value=8),
     )

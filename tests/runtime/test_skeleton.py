@@ -140,7 +140,7 @@ class TestIterativeRunner:
             cluster, synthetic_app(), trigger_policy=NeverTrigger(), use_gossip=False
         )
         runner.run(3)
-        assert all(runner.wir_db.coverage(r) == 1.0 for r in range(4))
+        assert runner.wir_db.known_rows().counts.tolist() == [4] * 4
 
     def test_gossip_wir_database_converges_over_run(self):
         cluster = VirtualCluster(8)
@@ -152,7 +152,7 @@ class TestIterativeRunner:
             seed=3,
         )
         runner.run(25)
-        assert all(runner.wir_db.coverage(r) == 1.0 for r in range(8))
+        assert runner.wir_db.known_rows().counts.tolist() == [8] * 8
 
     def test_deterministic_given_seed(self, tiny_erosion_config):
         def run_once():

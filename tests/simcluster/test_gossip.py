@@ -49,9 +49,9 @@ class TestGossipBoard:
 
     def test_known_fraction(self):
         board = GossipBoard(4, seed=0)
-        assert board.known_fraction(0) == 0.0
+        assert board.known_rows().counts.tolist() == [0, 0, 0, 0]
         board.publish(0, 1.0)
-        assert board.known_fraction(0) == 0.25
+        assert board.known_rows().counts.tolist() == [1, 0, 0, 0]
 
     def test_single_rank_is_trivially_complete(self):
         board = GossipBoard(1, seed=0)

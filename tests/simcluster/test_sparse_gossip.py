@@ -18,11 +18,22 @@ from repro.simcluster.gossip import (
     GossipBoard,
     GossipConfig,
     SparseGossipBoard,
-    make_gossip_board,
     sparse_random_push_targets,
     topology_push_targets,
 )
 from repro.utils.rng import ensure_rng
+
+
+def own_value(board, rank):
+    """The value ``rank`` published for itself, or ``None``."""
+    rows = board.known_rows()
+    return float(rows.own[rank]) if rows.has_own[rank] else None
+
+
+def assert_same_rows(a, b):
+    """Two boards' :class:`KnownRows` agree field by field, bit for bit."""
+    for name, left, right in zip(a._fields, a, b):
+        assert left.tobytes() == right.tobytes(), name
 
 
 class TestGossipConfigValidation:
@@ -50,13 +61,6 @@ class TestGossipConfigValidation:
         assert sparse.board_nbytes(4096) == 4096 * 64 * 24
         # The sparse bound never exceeds P entries even with a huge view.
         assert GossipConfig(mode="sparse", view_size=10_000).board_nbytes(16) == 16 * 16 * 24
-
-    def test_make_gossip_board_dispatch(self):
-        assert isinstance(make_gossip_board(8), GossipBoard)
-        assert isinstance(
-            make_gossip_board(8, config=GossipConfig(mode="sparse")),
-            SparseGossipBoard,
-        )
 
 
 class TestTopologyTargets:
@@ -118,13 +122,12 @@ class TestSparseAgreesWithDense:
         for board in (sparse, dense):
             board.publish_all(values)
             board.run_until_complete()
-        assert np.array_equal(sparse.complete_matrix(), dense.complete_matrix())
+        assert_same_rows(sparse.known_rows(), dense.known_rows())
         for rank in range(num_ranks):
             assert sparse.local_view(rank) == dense.local_view(rank)
             assert np.array_equal(
                 sparse.known_values_row(rank), dense.known_values_row(rank)
             )
-            assert sparse.own_value(rank) == dense.own_value(rank)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -134,7 +137,7 @@ class TestSparseAgreesWithDense:
         topology=st.sampled_from(["random", "ring", "hypercube"]),
     )
     def test_property_full_views_agree(self, num_ranks, fanout, seed, topology):
-        """Once ``known_fraction == 1.0`` everywhere, sparse == dense."""
+        """Once every view is complete, sparse == dense."""
         values = ensure_rng(seed).normal(size=num_ranks)
         sparse = SparseGossipBoard(
             num_ranks,
@@ -147,8 +150,9 @@ class TestSparseAgreesWithDense:
         for board in (sparse, dense):
             board.publish_all(values)
             board.run_until_complete(10_000)
-        assert all(sparse.known_fraction(r) == 1.0 for r in range(num_ranks))
-        assert np.array_equal(sparse.complete_matrix(), dense.complete_matrix())
+        sparse_rows = sparse.known_rows()
+        assert (sparse_rows.counts == num_ranks).all()
+        assert_same_rows(sparse_rows, dense.known_rows())
 
     def test_hypercube_completes_in_log2_rounds(self):
         board = SparseGossipBoard(
@@ -189,10 +193,11 @@ class TestBoundedViews:
         board.publish_all(np.arange(float(num_ranks)))
         for _ in range(30):
             board.step()
+        counts = board.known_rows().counts
         for rank in range(num_ranks):
             assert len(board.local_view(rank)) <= bound
             assert board.known_values_row(rank).size <= bound
-            assert board.known_fraction(rank) <= bound / num_ranks
+            assert counts[rank] == len(board.local_view(rank))
 
     def test_own_entry_never_evicted(self):
         num_ranks = 30
@@ -206,7 +211,7 @@ class TestBoundedViews:
         for _ in range(25):
             board.step()
         for rank in range(num_ranks):
-            assert board.own_value(rank) == values[rank]
+            assert own_value(board, rank) == values[rank]
             assert board.local_view(rank)[rank] == values[rank]
 
     def test_bounded_board_never_reports_complete(self):
@@ -217,7 +222,6 @@ class TestBoundedViews:
         for _ in range(50):
             board.step()
         assert not board.is_complete()
-        assert board.complete_matrix() is None
         with pytest.raises(RuntimeError, match="can never become complete"):
             board.run_until_complete()
 
@@ -288,20 +292,20 @@ class TestFreshestVersionSemantics:
         # A later self-publish at a lower version must not regress rank 0's
         # slot; publish() rejects it like the dense board.
         board.publish(0, 1.0, version=2)
-        assert board.own_value(0) == 9.0
+        assert own_value(board, 0) == 9.0
 
     def test_self_publish_wins_ties(self):
         board = SparseGossipBoard(3, config=GossipConfig(mode="sparse"))
         board.publish(1, 2.0, version=5)
         board.publish(1, 4.0, version=5)
-        assert board.own_value(1) == 4.0
+        assert own_value(board, 1) == 4.0
 
     def test_publish_all_respects_versions(self):
         board = SparseGossipBoard(4, config=GossipConfig(mode="sparse"))
         board.publish(2, 8.0, version=9)
         board.publish_all(np.full(4, 1.0), version=3)
-        assert board.own_value(2) == 8.0  # newer entry kept
-        assert board.own_value(0) == 1.0
+        assert own_value(board, 2) == 8.0  # newer entry kept
+        assert own_value(board, 0) == 1.0
 
     def test_negative_version_rejected(self):
         board = SparseGossipBoard(2, config=GossipConfig(mode="sparse"))
