@@ -1,8 +1,8 @@
 """Parallel campaign engine over the scenario catalog.
 
 A *campaign* crosses a scenario grid with a policy grid and repetition
-seeds, executes every cell on the virtual cluster (serially or across
-worker processes), persists one JSON line per completed cell and aggregates
+seeds, executes every cell on the virtual cluster (in supervised worker
+processes), persists one JSON line per completed cell and aggregates
 the results into the same fixed-width tables the figure drivers print.  It
 is the declarative replacement for writing a bespoke experiment driver per
 study:

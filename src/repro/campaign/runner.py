@@ -1,12 +1,12 @@
-"""Campaign execution: parallel cell runner with JSONL resume.
+"""Campaign execution: supervised worker processes with JSONL resume.
 
-:func:`run_campaign` executes the cells of a :class:`~repro.campaign.spec.CampaignSpec`,
-optionally across worker processes, and persists one JSON object per
-completed cell to a JSONL file.  Persistence doubles as the resume log: a
-rerun with the same spec and output path loads the file first and only
-executes the cells whose ids are not on disk yet, so an interrupted campaign
-(Ctrl-C, crashed worker, killed CI job) continues where it stopped instead
-of starting over.
+:func:`run_campaign` executes the cells of a :class:`~repro.campaign.spec.CampaignSpec`
+in supervised worker processes and persists one JSON object per completed
+cell to a JSONL file.  Persistence doubles as the resume log: a rerun with
+the same spec and output path loads the file first and only executes the
+cells whose ids are not on disk yet, so an interrupted campaign (Ctrl-C,
+crashed worker, killed CI job) continues where it stopped instead of
+starting over.
 
 Work is dispatched as *seed-batches*: the pending cells are grouped into
 (scenario, policy) groups whose members differ only in their repetition
@@ -16,21 +16,22 @@ engine of :mod:`repro.batch`).  Worker processes therefore parallelize over
 the groups while the replica axis is vectorized inside each worker.  Each
 worker rebuilds its cells from the picklable
 :class:`~repro.campaign.spec.CampaignCell` descriptors alone, so results
-are identical whether a cell runs serially, under ``--jobs N``, in a
-resumed invocation or as one replica of a batch (the batch engine is
-bit-identical to solo runs; only the bookkeeping field ``wall_time``
-varies).
+are identical whatever the worker count, in a resumed invocation or as one
+replica of a batch (the batch engine is bit-identical to solo runs; only
+the bookkeeping field ``wall_time`` varies).
 
-Multi-process dispatch is *supervised* (:mod:`repro.resilience`): every
-in-flight seed-batch has a deadline and its worker a heartbeat, dead or
-hung workers are killed and restarted, lost batches re-dispatch under
-bounded backoff, and a batch that keeps failing is split into single cells
-to isolate the culprit.  With a ``quarantine`` sidecar configured the
-poisoned cell is recorded there (with full replay context) and the campaign
-continues; without one the first irrecoverable failure raises with the
-original worker traceback attached (fail-fast, the library default).  A
-first SIGINT/SIGTERM drains in-flight batches and returns the partial run
-(``interrupted=True``); a second one hard-kills.
+Every campaign runs through one :class:`~repro.resilience.pool.SupervisedPool`
+of ``jobs`` workers (``jobs=1`` is a pool of one): every in-flight
+seed-batch has a deadline and its worker a heartbeat, dead or hung workers
+are killed and restarted, lost batches re-dispatch under bounded backoff,
+and a batch that keeps failing is split into single cells to isolate the
+culprit.  With a ``quarantine`` sidecar configured the poisoned cell is
+recorded there (with full replay context) and the campaign continues;
+without one the first irrecoverable failure raises a
+:class:`~repro.resilience.errors.CellError` carrying the worker traceback
+(fail-fast, the library default).  A first SIGINT/SIGTERM drains in-flight
+batches and returns the partial run (``interrupted=True``); a second one
+hard-kills.
 """
 
 from __future__ import annotations
@@ -42,11 +43,9 @@ import os
 import pickle
 import signal
 import threading
-import traceback as traceback_module
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.config import ObsConfig
 from repro.api.events import (
@@ -65,8 +64,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import StageProfile, merge_stage_snapshots
 from repro.obs.trace import TraceWriter
 from repro.resilience.chaos import ChaosConfig
-from repro.resilience.errors import CellError
-from repro.resilience.pool import SupervisedPool, TaskFailure, TaskResult
+from repro.resilience.pool import (
+    SupervisedPool,
+    TaskFailure,
+    TaskResult,
+    check_task_timeout,
+)
 from repro.resilience.quarantine import QuarantineEntry, QuarantineLog
 from repro.resilience.retry import RetryPolicy
 
@@ -195,10 +198,20 @@ def run_cell_batch(
     ]
 
 
-def _run_batch_task(
-    task: "Tuple[List[CampaignCell], Optional[ObsConfig]]",
+#: A supervised task payload: the seed-batch, the worker-side obs config
+#: and the chaos injector (None outside chaos runs).
+TaskPayload = Tuple[List[CampaignCell], Optional[ObsConfig], Optional[ChaosConfig]]
+
+
+def _supervised_batch_task(
+    payload: TaskPayload, attempt: int
 ) -> "Tuple[List[CellRow], BatchInfo]":
-    """Pool task: one seed-batch plus its worker-side execution info.
+    """Supervised-pool task: chaos gate, then one seed-batch plus its info.
+
+    The fault injector runs *before* any simulation work, so a cell that
+    survives injection produces a row bit-identical to a fault-free run;
+    ``attempt`` feeds the injector's per-attempt decision (transient faults
+    stop firing once a cell used up its injection cap).
 
     Returns the rows unchanged (the persisted row schema stays exactly what
     :func:`run_cell` produces) and a separate info dict carrying the worker
@@ -207,7 +220,9 @@ def _run_batch_task(
     turns these into ``"campaign_cell"`` events, worker-pid trace tracks and
     merged metrics/profiles.
     """
-    cells, obs = task
+    cells, obs, chaos = payload
+    if chaos is not None and chaos.any_enabled:
+        chaos.inject([cell.cell_id for cell in cells], attempt)
     start_ns = epoch_ns()
     started = wall_clock()
     telemetry: dict = {}
@@ -218,27 +233,6 @@ def _run_batch_task(
         wall_time=wall_clock() - started,
     )
     return rows, telemetry
-
-
-#: A supervised task payload: the seed-batch, the worker-side obs config
-#: and the chaos injector (None outside chaos runs).
-TaskPayload = Tuple[List[CampaignCell], Optional[ObsConfig], Optional[ChaosConfig]]
-
-
-def _supervised_batch_task(
-    payload: TaskPayload, attempt: int
-) -> "Tuple[List[CellRow], BatchInfo]":
-    """Supervised-pool task function: chaos gate, then the real seed-batch.
-
-    The fault injector runs *before* any simulation work, so a cell that
-    survives injection produces a row bit-identical to a fault-free run;
-    ``attempt`` feeds the injector's per-attempt decision (transient faults
-    stop firing once a cell used up its injection cap).
-    """
-    cells, obs, chaos = payload
-    if chaos is not None and chaos.any_enabled:
-        chaos.inject([cell.cell_id for cell in cells], attempt)
-    return _run_batch_task((cells, obs))
 
 
 def _subdivide_payload(payload: TaskPayload) -> Optional[List[TaskPayload]]:
@@ -516,10 +510,11 @@ def run_campaign(
     spec:
         The campaign grid to run.
     jobs:
-        Worker processes; ``1`` runs serially in-process, ``N > 1`` fans the
-        pending cells out over a supervised worker pool
-        (:class:`~repro.resilience.pool.SupervisedPool`) that detects dead
-        and hung workers, restarts them and re-dispatches lost batches.
+        Number of worker processes of the supervised pool
+        (:class:`~repro.resilience.pool.SupervisedPool`) every campaign runs
+        in -- capped at the number of seed-batches; ``1`` is a pool of one.
+        The pool detects dead and hung workers, restarts them and
+        re-dispatches lost batches.
     out_path:
         JSONL file results are appended to as cells complete (flushed per
         row, so progress survives interruption).  ``None`` disables
@@ -546,8 +541,8 @@ def run_campaign(
         Optional :class:`~repro.api.events.EventBus`; one
         :class:`~repro.api.events.CampaignCellEvent` is emitted per freshly
         executed cell (resumed cells emit nothing) -- the live
-        ``--progress`` line subscribes here.  Supervised runs additionally
-        emit :class:`~repro.api.events.CampaignFaultEvent` per supervision
+        ``--progress`` line subscribes here.  The supervised pool additionally
+        emits :class:`~repro.api.events.CampaignFaultEvent` per supervision
         event and :class:`~repro.api.events.WorkerHeartbeatEvent` per
         worker liveness beat.
     obs:
@@ -568,8 +563,7 @@ def run_campaign(
     task_timeout:
         Per-batch deadline in seconds; a batch running longer has its
         worker killed and counts as a (retryable) timeout.  ``None``
-        disables deadlines.  Setting a timeout forces pool dispatch even
-        for ``jobs=1`` (an in-process hang cannot be interrupted).
+        disables deadlines; any other value must be finite and > 0.
     quarantine:
         Path of the ``*.quarantine.jsonl`` sidecar.  When set, a cell that
         keeps failing after isolation is recorded there -- with the
@@ -577,7 +571,8 @@ def run_campaign(
         its exact :class:`~repro.api.config.RunConfig` for replay -- and
         the campaign **continues** (check :attr:`CampaignRun.quarantined`).
         When ``None`` (the library default) the first irrecoverable
-        failure raises, fail-fast, with the worker traceback attached.  On
+        failure raises a :class:`~repro.resilience.errors.CellError`
+        (``error_type`` and ``worker_traceback`` set), fail-fast.  On
         resume, cells quarantined by an earlier run are skipped (counted in
         :attr:`CampaignRun.skipped_quarantined`).
     retry_quarantined:
@@ -587,8 +582,8 @@ def run_campaign(
     chaos:
         Optional :class:`~repro.resilience.chaos.ChaosConfig` fault
         injector (testing/CI only): workers deterministically crash, hang,
-        raise or slow down per ``(seed, cell id, attempt)``.  Forces pool
-        dispatch so injected crashes kill a worker, never the caller.
+        raise or slow down per ``(seed, cell id, attempt)``; an injected
+        crash kills a worker, never the caller.
     install_signal_handlers:
         Install SIGINT/SIGTERM handlers while executing: the first signal
         drains in-flight batches and returns the partial run
@@ -606,8 +601,7 @@ def run_campaign(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if task_timeout is not None and task_timeout <= 0:
-        raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
+    check_task_timeout(task_timeout)
     retry_policy = retry if retry is not None else RetryPolicy()
     cells = spec.cells(name_filter=name_filter)
 
@@ -658,8 +652,6 @@ def run_campaign(
     completed_cells = 0
     named_pids: set = set()
     interrupt = {"signals": 0}
-    drain_hooks: List[Callable[[], None]] = []
-    pool_stats: Dict[str, int] = {}
 
     def _emit_fault(
         kind: str,
@@ -683,16 +675,6 @@ def run_campaign(
                     message=message,
                 ),
             )
-
-    def _on_signal(signum, frame) -> None:
-        interrupt["signals"] += 1
-        if interrupt["signals"] >= 2:
-            # Second signal: stop cooperating.  The KeyboardInterrupt
-            # unwinds through the supervision loop, which tears every
-            # worker down on the way out.
-            raise KeyboardInterrupt
-        for hook in drain_hooks:
-            hook()
 
     def _consume(batch_rows: List[CellRow], info: BatchInfo, sink) -> None:
         nonlocal completed_cells
@@ -784,64 +766,15 @@ def run_campaign(
                 ),
             )
 
-    def _serial_results(payloads: List[TaskPayload]) -> Iterator[object]:
-        """In-process dispatch with the same result/failure vocabulary.
-
-        Fail-fast mode re-raises the original exception untouched (the
-        historical serial behaviour); quarantine mode mirrors the pool's
-        isolate-then-report flow, minus retries -- an in-process failure is
-        deterministic by definition.
-        """
-        queue = deque(payloads)
-        drained = {"flag": False}
-        drain_hooks.append(lambda: drained.__setitem__("flag", True))
-        while queue:
-            if drained["flag"]:
-                return
-            payload = queue.popleft()
-            payload_cells = payload[0]
-            try:
-                value = _supervised_batch_task(payload, 0)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                if quarantine_log is None:
-                    raise
-                if len(payload_cells) > 1:
-                    _emit_fault(
-                        "split",
-                        [cell.cell_id for cell in payload_cells],
-                        0,
-                        os.getpid(),
-                        None,
-                        "splitting failed seed-batch into single cells",
-                    )
-                    for single in reversed(_subdivide_payload(payload) or []):
-                        queue.appendleft(single)
-                    continue
-                if isinstance(exc, CellError):
-                    error = exc
-                    if error.worker_traceback is None:
-                        error.worker_traceback = traceback_module.format_exc()
-                else:
-                    error = CellError(
-                        f"{type(exc).__name__}: {exc}",
-                        cell_ids=(payload_cells[0].cell_id,),
-                        attempts=1,
-                        error_type=type(exc).__name__,
-                        worker_traceback=traceback_module.format_exc(),
-                    )
-                yield TaskFailure(payload=payload, error=error, attempts=1)
-                continue
-            yield TaskResult(
-                payload=payload, value=value, attempts=1, worker_pid=os.getpid()
-            )
-
-    def _pool_results(payloads: List[TaskPayload]) -> Iterator[object]:
-        """Supervised multi-process dispatch (crash/hang/retry aware)."""
+    if pending:
+        # Seed-batches: every (scenario, policy) group runs its repetition
+        # seeds as one vectorized replica batch (repro.batch); worker
+        # processes parallelize over the groups.
+        batches = _seed_batches(pending)
+        payloads: List[TaskPayload] = [(batch, worker_obs, chaos) for batch in batches]
         pool = SupervisedPool(
             _supervised_batch_task,
-            processes=max(1, min(jobs, len(payloads))),
+            processes=min(jobs, len(batches)),
             context=_pool_context(mp_start_method),
             retry=retry_policy,
             task_timeout=task_timeout,
@@ -851,34 +784,25 @@ def run_campaign(
             on_fault=_pool_fault,
             on_heartbeat=_pool_heartbeat,
         )
-        drain_hooks.append(pool.drain)
-        try:
-            for item in pool.run(payloads):
-                yield item
-        finally:
-            pool_stats.update(pool.stats)
 
-    if pending:
-        # Seed-batches: every (scenario, policy) group runs its repetition
-        # seeds as one vectorized replica batch (repro.batch); worker
-        # processes parallelize over the groups.
-        batches = _seed_batches(pending)
-        payloads: List[TaskPayload] = [(batch, worker_obs, chaos) for batch in batches]
+        def _on_signal(signum, frame) -> None:
+            interrupt["signals"] += 1
+            if interrupt["signals"] >= 2:
+                # Second signal: stop cooperating.  The KeyboardInterrupt
+                # unwinds through the supervision loop, which tears every
+                # worker down on the way out.
+                raise KeyboardInterrupt
+            pool.drain()
+
         if out is not None:
             out.parent.mkdir(parents=True, exist_ok=True)
             _heal_torn_tail(out)
         sink = out.open("a", encoding="utf-8") if out is not None else None
-        # Chaos and deadlines force pool dispatch even serially: an injected
-        # crash must kill a worker (never the caller) and an in-process hang
-        # cannot be interrupted.
-        use_pool = (jobs > 1 and len(batches) > 1) or (
-            chaos is not None and chaos.any_enabled
-        ) or task_timeout is not None
         install = install_signal_handlers
         if install is None:
             install = threading.current_thread() is threading.main_thread()
         installed: List[tuple] = []
-        results = _pool_results(payloads) if use_pool else _serial_results(payloads)
+        results = pool.run(payloads)
         try:
             if install:
                 for signum in (signal.SIGINT, signal.SIGTERM):
@@ -900,7 +824,7 @@ def run_campaign(
                         _quarantine_failure(item)
             except BaseException:
                 # Ctrl-C (second signal), a failing callback or fail-fast:
-                # close the dispatch generator *now* -- its finally tears
+                # close the supervision generator *now* -- its finally tears
                 # every worker down -- instead of leaving orphaned workers
                 # alive until the traceback releases the frame.  The JSONL
                 # log already holds every completed row, so a rerun resumes.
@@ -915,7 +839,7 @@ def run_campaign(
             if sink is not None:
                 sink.close()
         if merged_metrics is not None:
-            for key, value in pool_stats.items():
+            for key, value in pool.stats.items():
                 if value:
                     merged_metrics.inc(f"campaign/pool/{key}", value)
 

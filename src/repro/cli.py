@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -482,6 +483,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for options requiring an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type for a duration: a finite number of seconds > 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _add_common_options(
     parser: argparse.ArgumentParser,
     *,
@@ -570,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes executing cells in parallel (default: 1, serial)",
+        help="supervised worker processes executing seed-batches in "
+        "parallel; every campaign runs in worker processes (default: 1)",
     )
     campaign.add_argument(
         "--out",
@@ -605,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--max-retries",
-        type=int,
+        type=_non_negative_int,
         default=2,
         metavar="N",
         help="re-dispatches of a seed-batch lost to a worker crash or "
@@ -614,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--task-timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="deadline per seed-batch; a batch running longer has its "

@@ -28,6 +28,7 @@ most its own pipe -- never a shared queue.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
@@ -46,10 +47,28 @@ from repro.resilience.errors import (
 )
 from repro.resilience.retry import RetryPolicy
 
-__all__ = ["PoolFault", "SupervisedPool", "TaskFailure", "TaskResult"]
+__all__ = [
+    "PoolFault",
+    "SupervisedPool",
+    "TaskFailure",
+    "TaskResult",
+    "check_task_timeout",
+]
 
 #: Fallback polling period of the supervision loop (seconds).
 _POLL_INTERVAL = 0.05
+
+
+def check_task_timeout(task_timeout: Optional[float]) -> None:
+    """Reject a task deadline that is not ``None`` or a finite ``> 0``.
+
+    ``nan`` would otherwise pass a plain ``<= 0`` check and silently
+    disable the deadline (``now > now + nan`` is never true).
+    """
+    if task_timeout is not None and not 0 < task_timeout < math.inf:
+        raise ValueError(
+            f"task_timeout must be a finite number > 0 or None, got {task_timeout}"
+        )
 
 
 @dataclass(frozen=True)
@@ -269,8 +288,7 @@ class SupervisedPool:
     ) -> None:
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
+        check_task_timeout(task_timeout)
         self._fn = fn
         self._context = context if context is not None else multiprocessing.get_context()
         self._retry = retry if retry is not None else RetryPolicy()

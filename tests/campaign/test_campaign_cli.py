@@ -46,6 +46,36 @@ class TestCampaignParser:
         args = build_parser().parse_args(["--scale", "smoke", "fig2", "--scale", "paper"])
         assert args.scale == "paper"
 
+    def test_supervision_options(self):
+        args = build_parser().parse_args(
+            ["campaign", "--max-retries", "0", "--task-timeout", "2.5"]
+        )
+        assert (args.max_retries, args.task_timeout) == (0, 2.5)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--task-timeout", "-1"),
+            ("--task-timeout", "0"),
+            ("--task-timeout", "nan"),
+            ("--task-timeout", "inf"),
+            ("--task-timeout", "soon"),
+            ("--max-retries", "-1"),
+            ("--max-retries", "1.5"),
+        ],
+    )
+    def test_bad_supervision_values_are_usage_errors(
+        self, capsys, tmp_path, monkeypatch, flag, value
+    ):
+        # A clean argparse usage error (exit 2) before anything runs, like
+        # a bad --chaos spec -- never a traceback from deeper validation.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--scale", "smoke", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_campaign_listed_in_help(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])

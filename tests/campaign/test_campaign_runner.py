@@ -199,6 +199,14 @@ class TestParallelExecution:
         with pytest.raises(ValueError, match="jobs"):
             run_campaign(SPEC, jobs=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_invalid_task_timeout_rejected(self, bad, tmp_path):
+        # Rejected before anything runs or is written.
+        out = tmp_path / "never.jsonl"
+        with pytest.raises(ValueError, match="task_timeout"):
+            run_campaign(SPEC, out_path=out, task_timeout=bad)
+        assert not out.exists()
+
     def test_progress_callback_sees_every_fresh_cell(self, tmp_path):
         seen = []
         run_campaign(

@@ -190,8 +190,9 @@ class TestPoisonQuarantine:
         assert stable(load_results(out)) == stable(clean.rows)
 
     def test_serial_quarantine_path(self, tmp_path, broken_scenario):
-        # jobs=1 with no chaos/timeout uses the in-process dispatch loop;
-        # quarantine must work there too.
+        # jobs=1 is a supervised pool of one worker: it must split, isolate
+        # and quarantine exactly like a multi-worker pool, down to the
+        # quarantined ids and the healthy rows.
         spec = CampaignSpec(
             scenarios=(broken_scenario, "synthetic-hotspot"),
             policies=(PolicySpec("standard"),),
@@ -201,42 +202,39 @@ class TestPoisonQuarantine:
             rows=16,
             iterations=6,
         )
-        sidecar = tmp_path / "q.jsonl"
-        run = run_campaign(
-            spec, out_path=tmp_path / "out.jsonl", quarantine=sidecar
-        )
-        assert len(run.quarantined) == 2
-        assert all(broken_scenario in cid for cid in run.quarantined)
-        assert len(run.rows) == 2  # the healthy scenario completed
-        assert validate_quarantine(sidecar) == []
-        entries = QuarantineLog(sidecar).load()
-        assert all(
-            "broken scenario builder" in e.message for e in entries.values()
-        )
-
-    def test_serial_without_quarantine_raises_original_error(
-        self, tmp_path, broken_scenario
-    ):
-        spec = CampaignSpec(
-            scenarios=(broken_scenario,),
-            policies=(PolicySpec("standard"),),
-            num_seeds=1,
-            num_pes=8,
-            columns_per_pe=16,
-            rows=16,
-            iterations=6,
-        )
-        with pytest.raises(RuntimeError, match="broken scenario builder"):
-            run_campaign(spec, out_path=tmp_path / "out.jsonl")
+        runs = {}
+        for jobs in (1, 2):
+            sidecar = tmp_path / f"q{jobs}.jsonl"
+            run = run_campaign(
+                spec,
+                jobs=jobs,
+                out_path=tmp_path / f"out{jobs}.jsonl",
+                quarantine=sidecar,
+            )
+            assert len(run.quarantined) == 2
+            assert all(broken_scenario in cid for cid in run.quarantined)
+            assert len(run.rows) == 2  # the healthy scenario completed
+            assert validate_quarantine(sidecar) == []
+            entries = QuarantineLog(sidecar).load()
+            assert all(
+                "broken scenario builder" in e.message for e in entries.values()
+            )
+            runs[jobs] = run
+        assert sorted(runs[1].quarantined) == sorted(runs[2].quarantined)
+        assert stable(runs[1].rows) == stable(runs[2].rows)
+        assert_no_orphans()
 
 
 class TestFailFastCleanup:
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_pool_failure_surfaces_real_error_and_no_orphans(
-        self, tmp_path, broken_scenario
+        self, tmp_path, broken_scenario, jobs
     ):
         # The bugfix pin: a worker raising must surface the worker's real
-        # exception (not a pool bookkeeping error) and the cleanup path
-        # must terminate and join every worker process.
+        # exception as a structured CellError (not a pool bookkeeping
+        # error, nor the bare exception) and the cleanup path must
+        # terminate and join every worker process -- at the default jobs=1
+        # as well as with several workers.
         spec = CampaignSpec(
             scenarios=(broken_scenario, "synthetic-hotspot"),
             policies=(PolicySpec("standard"), PolicySpec("ulba")),
@@ -249,7 +247,7 @@ class TestFailFastCleanup:
         with pytest.raises(CellError) as excinfo:
             run_campaign(
                 spec,
-                jobs=2,
+                jobs=jobs,
                 out_path=tmp_path / "out.jsonl",
                 retry=FAST_RETRY,
             )

@@ -164,6 +164,14 @@ class TestDeadlines:
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError, match="task_timeout"):
             SupervisedPool(toy, processes=1, task_timeout=0.0)
+        with pytest.raises(ValueError, match="task_timeout"):
+            SupervisedPool(toy, processes=1, task_timeout=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, bad):
+        # nan passes a plain `<= 0` check yet never expires a deadline.
+        with pytest.raises(ValueError, match="finite"):
+            SupervisedPool(toy, processes=1, task_timeout=bad)
         with pytest.raises(ValueError, match="processes"):
             SupervisedPool(toy, processes=0)
 
