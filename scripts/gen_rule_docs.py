@@ -37,7 +37,6 @@ how to suppress a finding with a justified `# repro: noqa[RULE]`.
 #: rule-id prefix -> catalog section (insertion order = page order).
 FAMILIES = [
     ("DET", "Determinism"),
-    ("SPN", "Spawn-safety"),
     ("API", "API hygiene"),
     ("SUP", "Suppression hygiene"),
     ("FLOW", "Interprocedural dataflow"),
@@ -54,13 +53,12 @@ def render() -> str:
         if not members:
             continue
         lines.append(f"## {title}\n")
-        lines.append("| rule | severity | name | rationale |")
-        lines.append("|------|----------|------|-----------|")
+        lines.append("| rule | name | rationale |")
+        lines.append("|------|------|-----------|")
         for rule in members:
             rationale = " ".join(rule.rationale.split())
             lines.append(
-                f"| `{rule.rule_id}` | {rule.severity} | "
-                f"{rule.name} | {rationale} |"
+                f"| `{rule.rule_id}` | {rule.name} | {rationale} |"
             )
         lines.append("")
     covered = {r.rule_id for prefix, _ in FAMILIES for r in rules

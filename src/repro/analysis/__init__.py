@@ -3,12 +3,11 @@
 ``repro.analysis`` is an AST lint layer with project-specific rules for the
 invariants the reproduction depends on:
 
-* **determinism** (DET001-DET005, FLOW-RNG) -- seeded-RNG-only, no wall
-  clock outside the observability/resilience layers, and no
-  entropy-seeded generator reaching the simulation core through helpers;
-* **spawn-safety** (SPN002, FLOW-PKL, FLOW-MUT) -- registry writes only
-  through registration APIs, picklable worker payloads however wrapped,
-  no module-global write reachable from a worker;
+* **determinism** (DET001-DET005) -- seeded-RNG-only, with every
+  entropy-seeded generator flagged where it is built, and no wall clock
+  outside the observability/resilience layers;
+* **spawn-safety** (FLOW-PKL, FLOW-MUT) -- picklable worker payloads
+  however wrapped, no module-global write reachable from a worker;
 * **hot-loop purity** (FLOW-HOT) -- no Python loops, copies or fresh
   allocations inside the profiled stages or anything they call;
 * **API hygiene** (API001-API002) -- EventBus names via ``EV_*`` constants,
@@ -26,7 +25,7 @@ programmatically::
 
     from repro.analysis import lint_paths, render
     findings = lint_paths(["src/repro"])
-    print(render(findings, "json"))
+    print(render(findings, "sarif"))
 
 Importing this package registers every shipped rule; the registry is the
 single source of truth for ``--list-rules``, the docs catalog and the
@@ -42,11 +41,9 @@ from repro.analysis import (
     rules_flow_hot,  # noqa: F401
     rules_flow_mut,  # noqa: F401
     rules_flow_pkl,  # noqa: F401
-    rules_flow_rng,  # noqa: F401
-    rules_spawn,  # noqa: F401
 )
-from repro.analysis.findings import SEVERITIES, Finding
-from repro.analysis.flow import FlowProject, cache_counters
+from repro.analysis.findings import Finding
+from repro.analysis.flow import FlowProject
 from repro.analysis.framework import (
     FileContext,
     LintRule,
@@ -54,7 +51,6 @@ from repro.analysis.framework import (
     all_rules,
     collect_files,
     get_rules,
-    lint_file,
     lint_paths,
     lint_source,
     parse_suppressions,
@@ -63,30 +59,25 @@ from repro.analysis.framework import (
 )
 from repro.analysis.report import (
     render,
-    render_json,
     render_sarif,
     render_text,
     summarize,
 )
 
 __all__ = [
-    "SEVERITIES",
     "FileContext",
     "Finding",
     "FlowProject",
     "LintRule",
     "Suppression",
     "all_rules",
-    "cache_counters",
     "collect_files",
     "get_rules",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "parse_suppressions",
     "register_rule",
     "render",
-    "render_json",
     "render_sarif",
     "render_text",
     "rule_ids",

@@ -5,9 +5,8 @@ whole-program analysis that lets an invariant hold *across* call
 boundaries:
 
 * :mod:`repro.analysis.flow.symbols` -- project-wide symbol table: one
-  :class:`~repro.analysis.flow.symbols.ModuleInfo` per file (functions,
-  classes, imports, inferred attribute types), cached by content hash so
-  repeated ``repro lint`` runs re-parse only edited files.
+  :class:`~repro.analysis.flow.symbols.ModuleInfo` per file (its one
+  parse, functions, classes, imports, inferred attribute types).
 * :mod:`repro.analysis.flow.callgraph` -- call-site resolution over the
   symbol table: imported members, ``self`` methods, annotated parameters,
   constructor-assigned attributes, and a conservative unique-name fallback
@@ -23,11 +22,9 @@ boundaries:
 * :mod:`repro.analysis.flow.summaries` -- the summary dataclasses the
   engine computes and the rule families consume.
 
-The four rule families (registered by importing their modules, exactly
+The three rule families (registered by importing their modules, exactly
 like the single-file rules):
 
-* ``FLOW-RNG`` -- seed-flow taint: entropy-seeded generators must not
-  reach the simulation core;
 * ``FLOW-HOT`` -- hot-loop purity: the profiled stages must be
   allocation-free in their own bodies and through their entire callee
   closure;
@@ -38,12 +35,7 @@ like the single-file rules):
 """
 
 from repro.analysis.flow.callgraph import CallGraph, CallSite
-from repro.analysis.flow.symbols import (
-    FlowProject,
-    FunctionInfo,
-    ModuleInfo,
-    cache_counters,
-)
+from repro.analysis.flow.symbols import FlowProject, FunctionInfo, ModuleInfo
 
 __all__ = [
     "CallGraph",
@@ -51,5 +43,4 @@ __all__ = [
     "FlowProject",
     "FunctionInfo",
     "ModuleInfo",
-    "cache_counters",
 ]

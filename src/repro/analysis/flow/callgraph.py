@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.flow.symbols import (
     ClassInfo,
@@ -109,7 +109,7 @@ class CallSite:
     @property
     def callee_display(self) -> str:
         if self.target is not None:
-            return self.target.display
+            return self.target.ref
         if self.target_class is not None:
             return self.target_class.ref
         if self.external is not None:
@@ -183,25 +183,6 @@ class CallGraph:
                     pairs.add((ref, callee.ref))
         return sorted(pairs)
 
-    def to_payload(self) -> Dict[str, object]:
-        """JSON payload of the graph (the ``--callgraph-out`` dump)."""
-        unresolved: Dict[str, int] = {}
-        external: Dict[str, int] = {}
-        for sites in self.sites.values():
-            for site in sites:
-                if site.external is not None:
-                    external[site.external] = external.get(site.external, 0) + 1
-                elif site.callee is None and site.unresolved_attr:
-                    key = site.unresolved_attr
-                    unresolved[key] = unresolved.get(key, 0) + 1
-        return {
-            "version": 1,
-            "functions": sorted(self.sites),
-            "edges": [list(edge) for edge in self.edges()],
-            "external_calls": dict(sorted(external.items())),
-            "unresolved_calls": dict(sorted(unresolved.items())),
-        }
-
 
 def _attribute_chain(node: ast.AST) -> Optional[List[str]]:
     """``self.wir_db.publish`` -> ``["self", "wir_db", "publish"]``."""
@@ -216,15 +197,16 @@ def _attribute_chain(node: ast.AST) -> Optional[List[str]]:
     return parts
 
 
-def _resolve_dotted(
-    project: FlowProject, module: ModuleInfo, dotted: str
-) -> Tuple[Optional[Union[FunctionInfo, ClassInfo]], Optional[str]]:
-    """Resolve an import-qualified dotted path to a project symbol, or
-    classify it as external."""
+def _bind_dotted(project: FlowProject, site: CallSite, dotted: str) -> None:
+    """Point ``site`` at the project symbol an import-qualified dotted path
+    names, or record the path as external."""
     resolved = project.resolve_member(dotted)
-    if resolved is not None:
-        return resolved, None
-    return None, dotted
+    if isinstance(resolved, FunctionInfo):
+        site.target = resolved
+    elif isinstance(resolved, ClassInfo):
+        site.target_class = resolved
+    else:
+        site.external = dotted
 
 
 def _resolve_call(
@@ -251,13 +233,7 @@ def _resolve_call(
                 return site
             imported = module.import_members.get(name)
             if imported is not None:
-                resolved, external = _resolve_dotted(project, module, imported)
-                if isinstance(resolved, FunctionInfo):
-                    site.target = resolved
-                elif isinstance(resolved, ClassInfo):
-                    site.target_class = resolved
-                else:
-                    site.external = external
+                _bind_dotted(project, site, imported)
                 return site
             # Builtin / global unknown name.
             site.external = name
@@ -279,13 +255,7 @@ def _resolve_call(
             elif head in module.import_modules:
                 dotted = ".".join([module.import_modules[head]] + rest)
             if dotted is not None:
-                resolved, external = _resolve_dotted(project, module, dotted)
-                if isinstance(resolved, FunctionInfo):
-                    site.target = resolved
-                elif isinstance(resolved, ClassInfo):
-                    site.target_class = resolved
-                else:
-                    site.external = external
+                _bind_dotted(project, site, dotted)
                 return site
 
         # self.method() / self.attr.method().

@@ -57,9 +57,6 @@ class TaintSpec:
     Subclasses override the hooks; every default is the empty analysis.
     """
 
-    #: Rule family the events belong to (used in diagnostics only).
-    family = "FLOW"
-
     def call_source(self, site: CallSite) -> Optional[str]:
         """Taint-origin description when this call *creates* taint."""
         return None
@@ -86,9 +83,8 @@ class TaintSpec:
 
 @dataclass
 class TaintResult:
-    """Converged summaries plus the deduplicated sink events."""
+    """The deduplicated sink events of a converged taint analysis."""
 
-    summaries: Dict[str, TaintSummary] = field(default_factory=dict)
     events: List[SinkEvent] = field(default_factory=list)
 
     def events_for(self, path: str) -> List[SinkEvent]:
@@ -340,7 +336,7 @@ class _FunctionTaint:
                 mapping = self._map_args(callee, positional, keywords, star)
                 for index, av in mapping.items():
                     if index in summary.sink_params:
-                        self._sink(av, callee.display, node)
+                        self._sink(av, callee.ref, node)
                 if summary.return_origin is not None:
                     result = result.merged(AV(origin=summary.return_origin))
                 for index in summary.return_params:
@@ -428,7 +424,7 @@ def run_taint(graph: CallGraph, spec: TaintSpec) -> TaintResult:
                 seen.add(key)
                 deduped.append(event)
     deduped.sort(key=lambda e: (e.path, e.line, e.col, e.sink))
-    return TaintResult(summaries=summaries, events=deduped)
+    return TaintResult(events=deduped)
 
 
 # ----------------------------------------------------------------------
@@ -568,7 +564,7 @@ def run_purity(graph: CallGraph) -> Dict[str, PuritySummary]:
                 inner = impurity.get(callee.ref)
                 if inner is not None:
                     impurity[fn.ref] = (
-                        f"calls `{callee.display}`, which {inner}"
+                        f"calls `{callee.ref}`, which {inner}"
                     )
                     changed = True
                     break

@@ -1,4 +1,4 @@
-"""Spawn-boundary helpers shared by FLOW-PKL, FLOW-MUT and SPN002.
+"""Spawn-boundary helpers shared by FLOW-PKL and FLOW-MUT.
 
 FLOW-PKL and FLOW-MUT care about the same call shapes -- pool submissions
 (``.submit``/``.apply_async``/...), ``Process``/``Pool``/``SupervisedPool``
@@ -196,19 +196,18 @@ def resolve_callable_expr(
 # ----------------------------------------------------------------------
 # Module-global writes (the FLOW-MUT writer side).
 # ----------------------------------------------------------------------
-#: Suppressing either rule at the write site excuses the write from the
+#: Suppressing this rule at the write site excuses the write from the
 #: reachability analysis as well.
-_MUTATION_WAIVER_RULES = ("SPN002", "FLOW-MUT")
+_MUTATION_WAIVER_RULES = ("FLOW-MUT",)
 
 
 def collect_mutations(graph: CallGraph) -> Dict[str, MutationInfo]:
     """Direct module-global writes of every project function.
 
-    Generalizes SPN002's write detection in two ways: *any* module-global
-    mutable binding counts (not just UPPER_CASE registries), and writes
-    inside ``register*``-style API functions count too -- a worker calling
-    its own registration API still only mutates the worker's copy.
-    Rebinding via ``global`` declarations is also a write.
+    *Any* module-global mutable binding counts (not just UPPER_CASE
+    registries), and writes inside ``register*``-style API functions count
+    too -- a worker calling its own registration API still only mutates the
+    worker's copy.  Rebinding via ``global`` declarations is also a write.
     """
     out: Dict[str, MutationInfo] = {}
     for fn in graph.project.functions():

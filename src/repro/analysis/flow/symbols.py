@@ -1,36 +1,31 @@
 """Project-wide symbol table for the interprocedural analyses.
 
-One :class:`ModuleInfo` per file -- its functions and classes (with
-enough type information to resolve method calls: parameter annotations,
-constructor-assigned ``self.*`` attributes), its import maps, and its
-suppression table (so justified single-file suppressions also excuse a
-function from the transitive analyses).
+One :class:`ModuleInfo` per file -- its parsed tree, its functions and
+classes (with enough type information to resolve method calls: parameter
+annotations, constructor-assigned ``self.*`` attributes), its import maps,
+and its suppression table (so justified single-file suppressions also
+excuse a function from the transitive analyses).
 
-Building a :class:`ModuleInfo` is the expensive per-file step (a parse
-plus several AST walks), so results are cached in a module-level store
-keyed by display path and invalidated by content hash: a ``repro lint``
-run after editing one file re-parses exactly that file.  The fixpoint
-recombination over summaries is cheap and recomputed every run.
+A :class:`FlowProject` parses each file of a lint run exactly once; the
+single-file rules read the same tree through
+:class:`~repro.analysis.framework.FileContext`.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.framework import Suppression, parse_suppressions
+from repro.analysis.framework import Suppression, _module_relpath, parse_suppressions
 
 __all__ = [
     "ClassInfo",
     "FlowProject",
     "FunctionInfo",
     "ModuleInfo",
-    "cache_counters",
     "collect_imports",
-    "reset_cache",
 ]
 
 #: Decorator name marking a function as audited allocation-free: the
@@ -134,11 +129,6 @@ class FunctionInfo:
         return f"{self.module}.{self.qualname}"
 
     @property
-    def display(self) -> str:
-        """Human name used in finding messages."""
-        return f"{self.module}.{self.qualname}"
-
-    @property
     def is_hot_path_allowlisted(self) -> bool:
         return HOT_PATH_DECORATOR in self.decorators
 
@@ -163,8 +153,6 @@ class ClassInfo:
     #: ``self.attr`` -> dotted type name, from ``__init__`` assignments of
     #: resolvable constructor calls / annotated parameters.
     attr_types: Dict[str, str] = field(default_factory=dict)
-    #: True when the class subclasses ``Protocol``.
-    is_protocol: bool = False
 
     @property
     def ref(self) -> str:
@@ -207,25 +195,6 @@ class ModuleInfo:
         return lines
 
 
-# ----------------------------------------------------------------------
-# Per-file cache.
-# ----------------------------------------------------------------------
-_MODULE_CACHE: Dict[str, Tuple[str, ModuleInfo]] = {}
-_CACHE_COUNTERS = {"builds": 0, "hits": 0}
-
-
-def cache_counters() -> Dict[str, int]:
-    """Copy of the per-file cache counters (for the invalidation tests)."""
-    return dict(_CACHE_COUNTERS)
-
-
-def reset_cache() -> None:
-    """Drop the per-file cache and zero the counters (test isolation)."""
-    _MODULE_CACHE.clear()
-    _CACHE_COUNTERS["builds"] = 0
-    _CACHE_COUNTERS["hits"] = 0
-
-
 def _module_name_from_path(path: Union[str, Path]) -> Tuple[str, ...]:
     """Dotted-name segments of ``path`` (``__init__.py`` -> the package).
 
@@ -239,15 +208,6 @@ def _module_name_from_path(path: Union[str, Path]) -> Tuple[str, ...]:
         parts.pop()
     cleaned = [part for part in parts if part not in {"", ".", ".."}]
     return tuple(cleaned[-_MAX_SUFFIX_SEGMENTS:]) if cleaned else ("<module>",)
-
-
-def _module_relpath(path: Union[str, Path]) -> str:
-    """``repro/...``-relative posix path (mirrors the framework helper)."""
-    parts = Path(path).as_posix().split("/")
-    for index in range(len(parts) - 1, -1, -1):
-        if parts[index] == "repro":
-            return "/".join(parts[index:])
-    return "/".join(parts)
 
 
 def collect_imports(tree: ast.Module) -> Tuple[Dict[str, str], Dict[str, str]]:
@@ -405,7 +365,6 @@ def _build_module(path: str, source: str, tree: ast.Module) -> ModuleInfo:
                 name=node.name,
                 node=node,
                 bases=tuple(base.split(".")[-1] for base in bases),
-                is_protocol=any(b.split(".")[-1] == "Protocol" for b in bases),
             )
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -434,37 +393,16 @@ def _build_module(path: str, source: str, tree: ast.Module) -> ModuleInfo:
     return info
 
 
-def load_module(path: str, source: str) -> Optional[ModuleInfo]:
-    """Parse + index ``source``, via the content-hash cache.
-
-    Returns ``None`` for files the parser rejects (the per-file drivers
-    already report those as ``SYN001``).
-    """
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    cached = _MODULE_CACHE.get(path)
-    if cached is not None and cached[0] == digest:
-        _CACHE_COUNTERS["hits"] += 1  # repro: noqa[SPN002] -- process-local parse cache, not a registry; a worker copy merely re-parses, it cannot diverge results
-        return cached[1]
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return None
-    _CACHE_COUNTERS["builds"] += 1  # repro: noqa[SPN002] -- process-local parse cache, not a registry; a worker copy merely re-parses, it cannot diverge results
-    info = _build_module(path, source, tree)
-    _MODULE_CACHE[path] = (digest, info)  # repro: noqa[SPN002] -- process-local parse cache, not a registry; a worker copy merely re-parses, it cannot diverge results
-    return info
-
-
 # ----------------------------------------------------------------------
 # Project index.
 # ----------------------------------------------------------------------
 class FlowProject:
     """The whole-program view the flow rules analyze.
 
-    Built once per ``lint_paths`` invocation over every file in the run;
-    per-file symbol tables come from the content-hash cache, the call
-    graph and the analysis results are computed lazily and memoized on
-    the instance (one fixpoint per rule family per run).
+    Built once per ``lint_paths`` invocation over every file in the run,
+    which it parses once each; the call graph and the analysis results are
+    computed lazily and memoized on the instance (one fixpoint per rule
+    family per run).
     """
 
     def __init__(self, files: Sequence[Tuple[str, str]]) -> None:
@@ -475,10 +413,15 @@ class FlowProject:
         self._functions_by_name: Dict[str, List[FunctionInfo]] = {}
         self._classes_by_name: Dict[str, List[ClassInfo]] = {}
         self._analyses: Dict[str, object] = {}
+        #: Display path -> why the parser rejected the file (``SYN001``).
+        self.syntax_errors: Dict[str, SyntaxError] = {}
         for path, source in sorted(files, key=lambda item: item[0]):
-            info = load_module(path, source)
-            if info is None:
+            try:
+                tree = ast.parse(source)
+            except SyntaxError as exc:
+                self.syntax_errors[path] = exc
                 continue
+            info = _build_module(path, source, tree)
             self.modules.append(info)
             self.by_path[path] = info
             segments = _module_name_from_path(path)
@@ -574,22 +517,3 @@ class FlowProject:
         if key not in self._analyses:
             self._analyses[key] = compute(self)
         return self._analyses[key]
-
-    @classmethod
-    def from_paths(cls, paths: Sequence[Union[str, Path]]) -> "FlowProject":
-        """Project over files on disk (unreadable or non-UTF-8 files are
-        skipped; :func:`~repro.analysis.framework.lint_paths` reports them)."""
-        files: List[Tuple[str, str]] = []
-        for path in paths:
-            try:
-                files.append(
-                    (str(path), Path(path).read_text(encoding="utf-8"))
-                )
-            except (OSError, UnicodeDecodeError):
-                continue
-        return cls(files)
-
-    @classmethod
-    def single(cls, path: str, source: str) -> "FlowProject":
-        """Single-file project (the ``lint_source`` fallback)."""
-        return cls([(path, source)])

@@ -15,10 +15,11 @@ The pieces every rule shares:
   naming an unknown rule is another (``SUP002``).  A suppression on a line
   containing only the comment applies to the next line, so long statements
   can be annotated without exceeding line length.
-* :func:`lint_source` / :func:`lint_file` / :func:`lint_paths` -- the
-  drivers that parse, run every selected rule and apply suppressions.  A
-  file that cannot be read or decoded is a ``SYN001`` finding, never a
-  crash and never a silent skip.
+* :func:`lint_source` / :func:`lint_paths` -- the drivers that run every
+  selected rule and apply suppressions.  Each file is parsed once, by the
+  :class:`~repro.analysis.flow.symbols.FlowProject` the run builds, and
+  every rule reads that tree.  A file that cannot be read, decoded or
+  parsed is a ``SYN001`` finding, never a crash and never a silent skip.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
-from repro.analysis.findings import SEVERITIES, Finding
+from repro.analysis.findings import Finding
+
+if TYPE_CHECKING:  # the flow layer builds on this module
+    from repro.analysis.flow.symbols import FlowProject
 
 __all__ = [
     "FileContext",
@@ -40,7 +44,6 @@ __all__ = [
     "all_rules",
     "collect_files",
     "get_rules",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "parse_suppressions",
@@ -74,8 +77,6 @@ class LintRule:
         select by.
     name:
         Kebab-case human name (``wall-clock-read``).
-    severity:
-        ``"error"`` or ``"warning"`` (see :data:`~repro.analysis.findings.SEVERITIES`).
     rationale:
         One paragraph: which reproduction invariant the rule protects and
         why violating it has bitten before.  Rendered by ``--list-rules``
@@ -84,7 +85,6 @@ class LintRule:
 
     rule_id: str = ""
     name: str = ""
-    severity: str = "error"
     rationale: str = ""
 
     def check(self, ctx: "FileContext") -> None:
@@ -107,7 +107,6 @@ class _SuppressionHygieneRule(LintRule):
     def __init__(self, rule_id: str, name: str, rationale: str) -> None:
         self.rule_id = rule_id
         self.name = name
-        self.severity = "error"
         self.rationale = rationale
 
     def check(self, ctx: "FileContext") -> None:
@@ -128,10 +127,6 @@ def register_rule(rule: Union[LintRule, Type[LintRule]]) -> LintRule:
         rule = rule()
     if not rule.rule_id or not rule.name:
         raise ValueError(f"rule {rule!r} must define rule_id and name")
-    if rule.severity not in SEVERITIES:
-        raise ValueError(
-            f"rule {rule.rule_id}: severity must be one of {SEVERITIES}"
-        )
     if rule.rule_id in _RULES:
         raise ValueError(f"rule id {rule.rule_id} is already registered")
     _RULES[rule.rule_id] = rule
@@ -191,22 +186,17 @@ class FileContext:
 
     #: Display path (as handed to the runner; what findings print).
     path: str
-    #: Source text of the file.
-    source: str
-    #: Parsed module AST.
+    #: Parsed module AST (the project's one parse of this file).
     tree: ast.Module
     #: Path normalised to start at the package root (``repro/obs/x.py``)
     #: so path-scoped rules match regardless of checkout location.
     module_path: str
+    #: Whole-program view the interprocedural (FLOW-*) rules read: every
+    #: file of the :func:`lint_paths` run, or just this file when
+    #: :func:`lint_source` is called alone.
+    project: "FlowProject"
     #: Findings deposited by rules (the driver owns post-processing).
     findings: List[Finding] = field(default_factory=list)
-    #: Whole-program view for the interprocedural (FLOW-*) rules: a
-    #: :class:`repro.analysis.flow.symbols.FlowProject` covering every file
-    #: of the run when linting via :func:`lint_paths`, ``None`` for
-    #: single-file entry points (flow rules then fall back to a
-    #: single-file project).  Typed loosely to keep the framework free of
-    #: an import cycle with the flow layer.
-    project: Optional[object] = None
 
     _active_rule: Optional[LintRule] = None
 
@@ -225,7 +215,6 @@ class FileContext:
         self.findings.append(
             Finding(
                 rule=rule.rule_id,
-                severity=rule.severity,
                 path=self.path,
                 line=line if line is not None else getattr(node, "lineno", 1),
                 col=col if col is not None else getattr(node, "col_offset", 0),
@@ -336,7 +325,6 @@ def _apply_suppressions(
             out.append(
                 Finding(
                     rule=MISSING_JUSTIFICATION_RULE,
-                    severity="error",
                     path=path,
                     line=suppression.line,
                     col=0,
@@ -351,7 +339,6 @@ def _apply_suppressions(
                 out.append(
                     Finding(
                         rule=UNKNOWN_SUPPRESSION_RULE,
-                        severity="error",
                         path=path,
                         line=suppression.line,
                         col=0,
@@ -365,46 +352,53 @@ def _apply_suppressions(
 # ----------------------------------------------------------------------
 # Drivers.
 # ----------------------------------------------------------------------
-def lint_source(
-    source: str,
-    path: Union[str, Path] = "<string>",
-    *,
-    rules: Optional[Sequence[LintRule]] = None,
-    project: Optional[object] = None,
+def _lint_module(
+    project: "FlowProject", path: str, rules: Optional[Sequence[LintRule]]
 ) -> List[Finding]:
-    """Lint one source string; returns every finding (suppressed included).
-
-    The workhorse behind :func:`lint_file` and the fixture tests: parse,
-    run each rule, apply suppressions, append suppression-hygiene findings.
-    ``project`` carries the whole-program view for the FLOW-* rules when
-    the caller linted more than this one file.
-    """
-    display = str(path)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
+    """Run ``rules`` over the project's file ``path`` and apply suppressions."""
+    module = project.by_path.get(path)
+    if module is None:
+        exc = project.syntax_errors[path]
         return [
             Finding(
                 rule=SYNTAX_RULE,
-                severity="error",
-                path=display,
+                path=path,
                 line=exc.lineno or 1,
                 col=(exc.offset or 1) - 1,
                 message=f"syntax error: {exc.msg}",
             )
         ]
     ctx = FileContext(
-        path=display,
-        source=source,
-        tree=tree,
-        module_path=_module_relpath(path),
+        path=path,
+        tree=module.tree,
+        module_path=module.module_path,
         project=project,
     )
     for rule in rules if rules is not None else all_rules():
         ctx._active_rule = rule
         rule.check(ctx)
     ctx._active_rule = None
-    return _apply_suppressions(display, ctx.findings, parse_suppressions(source))
+    findings = _apply_suppressions(path, ctx.findings, module.suppressions)
+    if rules is None:
+        return findings
+    # A --rules selection reports SUP001/SUP002 only when it names them.
+    ran = {rule.rule_id for rule in rules}
+    return [finding for finding in findings if finding.rule in ran]
+
+
+def lint_source(
+    source: str,
+    path: Union[str, Path] = "<string>",
+    *,
+    rules: Optional[Sequence[LintRule]] = None,
+) -> List[Finding]:
+    """Lint one source string as a one-file project; returns every finding
+    (suppressed included).  The entry point of the fixture tests."""
+    # Imported here: the flow layer builds on this framework module.
+    from repro.analysis.flow.symbols import FlowProject
+
+    display = str(path)
+    return _lint_module(FlowProject([(display, source)]), display, rules)
 
 
 def _read_source(path: Path) -> Union[str, Finding]:
@@ -414,25 +408,11 @@ def _read_source(path: Path) -> Union[str, Finding]:
     except (OSError, UnicodeDecodeError) as exc:
         return Finding(
             rule=SYNTAX_RULE,
-            severity="error",
             path=str(path),
             line=1,
             col=0,
             message=f"unreadable source: {exc}",
         )
-
-
-def lint_file(
-    path: Union[str, Path],
-    *,
-    rules: Optional[Sequence[LintRule]] = None,
-    project: Optional[object] = None,
-) -> List[Finding]:
-    """Lint one file on disk."""
-    text = _read_source(Path(path))
-    if isinstance(text, Finding):
-        return [text]
-    return lint_source(text, path, rules=rules, project=project)
 
 
 def collect_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
@@ -460,7 +440,6 @@ def lint_paths(
     shared by every per-file rule invocation, so the FLOW-* families see
     taint that crosses module boundaries.
     """
-    # Imported here: the flow layer builds on this framework module.
     from repro.analysis.flow.symbols import FlowProject
 
     texts = [(str(file), _read_source(file)) for file in collect_files(paths)]
@@ -472,5 +451,5 @@ def lint_paths(
         if isinstance(text, Finding):
             findings.append(text)
         else:
-            findings.extend(lint_source(text, path, rules=rules, project=project))
+            findings.extend(_lint_module(project, path, rules))
     return findings

@@ -1,6 +1,6 @@
-"""Reporters: render findings as text, JSON, or SARIF-flavoured JSON.
+"""Reporters: render findings as text or SARIF-flavoured JSON.
 
-All three renderers consume the same :class:`~repro.analysis.findings.Finding`
+Both renderers consume the same :class:`~repro.analysis.findings.Finding`
 sequence and return a string; the CLI picks one via ``--format`` and decides
 where it goes (stdout or ``--output``).
 """
@@ -13,51 +13,42 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis.findings import Finding
 from repro.analysis.framework import LintRule, all_rules
 
-__all__ = ["render", "render_text", "render_json", "render_sarif", "summarize"]
+__all__ = ["render", "render_text", "render_sarif", "summarize"]
 
 #: SARIF version stamped into :func:`render_sarif` output.
 _SARIF_VERSION = "2.1.0"
 
 
 def summarize(findings: Sequence[Finding]) -> Dict[str, int]:
-    """Counts the reporters and the CLI exit code share."""
-    unsuppressed = [f for f in findings if not f.suppressed]
+    """Counts the reporters and the CLI exit code share.
+
+    Every unsuppressed finding is an error.
+    """
+    suppressed = sum(1 for f in findings if f.suppressed)
     return {
         "total": len(findings),
-        "suppressed": sum(1 for f in findings if f.suppressed),
-        "errors": sum(1 for f in unsuppressed if f.severity == "error"),
-        "warnings": sum(1 for f in unsuppressed if f.severity == "warning"),
+        "suppressed": suppressed,
+        "errors": len(findings) - suppressed,
     }
 
 
 def render_text(
     findings: Sequence[Finding], *, show_suppressed: bool = False
 ) -> str:
-    """One ``path:line:col rule severity message`` line per finding."""
+    """One ``path:line:col rule message`` line per finding."""
     lines: List[str] = []
     for finding in findings:
         if finding.suppressed and not show_suppressed:
             continue
         marker = " (suppressed)" if finding.suppressed else ""
         lines.append(
-            f"{finding.location}: {finding.rule} [{finding.severity}]"
-            f"{marker} {finding.message}"
+            f"{finding.location}: {finding.rule}{marker} {finding.message}"
         )
     counts = summarize(findings)
     lines.append(
-        f"{counts['errors']} error(s), {counts['warnings']} warning(s), "
-        f"{counts['suppressed']} suppressed"
+        f"{counts['errors']} error(s), {counts['suppressed']} suppressed"
     )
     return "\n".join(lines)
-
-
-def render_json(findings: Sequence[Finding]) -> str:
-    """Stable JSON payload (`findings` rows + `summary` counts)."""
-    payload = {
-        "findings": [finding.to_dict() for finding in findings],
-        "summary": summarize(findings),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def render_sarif(
@@ -74,7 +65,7 @@ def render_sarif(
     for finding in findings:
         result: Dict[str, Any] = {
             "ruleId": finding.rule,
-            "level": "error" if finding.severity == "error" else "warning",
+            "level": "error",
             "message": {"text": finding.message},
             "locations": [
                 {
@@ -114,9 +105,7 @@ def render_sarif(
                                 "name": rule.name,
                                 "shortDescription": {"text": rule.name},
                                 "fullDescription": {"text": rule.rationale},
-                                "defaultConfiguration": {
-                                    "level": rule.severity
-                                },
+                                "defaultConfiguration": {"level": "error"},
                             }
                             for rule in catalog
                         ],
@@ -135,11 +124,9 @@ def render(
     *,
     show_suppressed: bool = False,
 ) -> str:
-    """Dispatch on ``fmt`` (``text`` | ``json`` | ``sarif``)."""
+    """Dispatch on ``fmt`` (``text`` | ``sarif``)."""
     if fmt == "text":
         return render_text(findings, show_suppressed=show_suppressed)
-    if fmt == "json":
-        return render_json(findings)
     if fmt == "sarif":
         return render_sarif(findings)
-    raise ValueError(f"unknown format {fmt!r}; expected text, json or sarif")
+    raise ValueError(f"unknown format {fmt!r}; expected text or sarif")

@@ -41,7 +41,6 @@ def _event_constants() -> FrozenSet[str]:
 class EmitConstantRule(LintRule):
     rule_id = "API001"
     name = "emit-requires-event-constant"
-    severity = "error"
     rationale = (
         "`bus.emit(\"phase\", ...)` with a string literal (or a computed "
         "name) cannot be cross-checked against the event catalog, so a "
@@ -86,7 +85,6 @@ class EmitConstantRule(LintRule):
 class FrozenConfigWriteRule(LintRule):
     rule_id = "API002"
     name = "frozen-field-write-outside-init"
-    severity = "error"
     rationale = (
         "`object.__setattr__` outside __init__/__post_init__ defeats "
         "frozen dataclasses: the config tree is hashed into run "

@@ -18,7 +18,7 @@ from repro.analysis.framework import FileContext, LintRule, register_rule
 
 __all__ = [
     "NumpyGlobalRandomRule",
-    "UnseededDefaultRngRule",
+    "UnseededGeneratorRule",
     "StdlibRandomRule",
     "WallClockRule",
     "DatetimeNowRule",
@@ -42,6 +42,11 @@ _NP_RANDOM_ALLOWED = frozenset(
         "MT19937",
     }
 )
+
+#: Generator constructors that seed from OS entropy when given no seed:
+#: numpy's two, and the project's ``repro.utils.rng.ensure_rng``, whether
+#: imported or defined in the module that calls it.
+_ENTROPY_SEEDED = frozenset({"default_rng", "SeedSequence", "ensure_rng"})
 
 #: Wall-clock reads in :mod:`time`.  ``sleep`` is deliberately absent: it
 #: shapes pacing, not results.
@@ -90,6 +95,20 @@ def _qualified(
     return None
 
 
+def _no_explicit_seed(node: ast.Call) -> bool:
+    """True for ``f()`` and ``f(None)`` / ``f(seed=None)``."""
+    if not node.args and not node.keywords:
+        return True
+    values = [arg for arg in node.args if not isinstance(arg, ast.Starred)]
+    values += [kw.value for kw in node.keywords if kw.arg is not None]
+    if len(values) != len(node.args) + len(node.keywords):
+        return False  # *args / **kwargs may carry a real seed
+    return all(
+        isinstance(value, ast.Constant) and value.value is None
+        for value in values
+    )
+
+
 def _iter_calls(ctx: FileContext) -> Iterator[Tuple[ast.Call, str]]:
     modules, members = collect_imports(ctx.tree)
     for node in ast.walk(ctx.tree):
@@ -103,7 +122,6 @@ def _iter_calls(ctx: FileContext) -> Iterator[Tuple[ast.Call, str]]:
 class NumpyGlobalRandomRule(LintRule):
     rule_id = "DET001"
     name = "numpy-global-rng"
-    severity = "error"
     rationale = (
         "Calls like `np.random.seed()` / `np.random.rand()` touch the hidden "
         "process-global numpy RNG, so results depend on import order and on "
@@ -128,27 +146,38 @@ class NumpyGlobalRandomRule(LintRule):
 
 
 @register_rule
-class UnseededDefaultRngRule(LintRule):
+class UnseededGeneratorRule(LintRule):
     rule_id = "DET002"
-    name = "unseeded-default-rng"
-    severity = "error"
+    name = "unseeded-generator"
     rationale = (
-        "`default_rng()` with no argument seeds from OS entropy, making "
-        "every run unique. Pass an explicit seed, SeedSequence or parent "
-        "Generator (repro.utils.rng.ensure_rng accepts all three)."
+        "`default_rng()`, `SeedSequence()` and `ensure_rng()` with no seed "
+        "(or a literal None) seed from OS entropy, making every run unique. "
+        "The rule flags the call where the generator is built, so a "
+        "generator handed through helpers or wrappers is caught before it "
+        "can reach the simulation core. Pass an explicit seed, SeedSequence "
+        "or parent Generator (repro.utils.rng.ensure_rng accepts all three)."
     )
 
     def check(self, ctx: FileContext) -> None:
-        for node, qualified in _iter_calls(ctx):
-            if (
-                qualified == "numpy.random.default_rng"
-                and not node.args
-                and not node.keywords
-            ):
+        local_defs = {
+            stmt.name
+            for stmt in ctx.tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        modules, members = collect_imports(ctx.tree)
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call) or not _no_explicit_seed(node):
+                continue
+            func = node.func
+            qualified = _qualified(func, modules, members)
+            if qualified is None and isinstance(func, ast.Name):
+                qualified = func.id if func.id in local_defs else None
+            terminal = qualified.split(".")[-1] if qualified else None
+            if terminal in _ENTROPY_SEEDED:
                 ctx.report(
                     node,
-                    "`default_rng()` without a seed draws from OS entropy; "
-                    "pass an explicit seed or SeedSequence",
+                    f"`{terminal}()` without a seed draws from OS entropy; "
+                    "pass an explicit seed, SeedSequence or parent Generator",
                 )
 
 
@@ -156,7 +185,6 @@ class UnseededDefaultRngRule(LintRule):
 class StdlibRandomRule(LintRule):
     rule_id = "DET003"
     name = "stdlib-random-global-state"
-    severity = "error"
     rationale = (
         "Module-level `random.*` functions share one process-global state, "
         "and an unseeded `random.Random()` draws from OS entropy. Seeded "
@@ -195,7 +223,6 @@ class StdlibRandomRule(LintRule):
 class WallClockRule(LintRule):
     rule_id = "DET004"
     name = "wall-clock-read"
-    severity = "error"
     rationale = (
         "Simulated results must not depend on host timing; wall-clock reads "
         "belong to the observability layer (repro/obs) and the fault-"
@@ -221,7 +248,6 @@ class WallClockRule(LintRule):
 class DatetimeNowRule(LintRule):
     rule_id = "DET005"
     name = "datetime-now"
-    severity = "error"
     rationale = (
         "`datetime.now()` / `date.today()` read the wall clock and the local "
         "timezone -- run artifacts stamped with them differ across hosts and "

@@ -83,7 +83,6 @@ def _purity(project: FlowProject) -> Dict[str, PuritySummary]:
 class HotPurityRule(LintRule):
     rule_id = "FLOW-HOT"
     name = "impurity-in-hot-stage"
-    severity = "error"
     rationale = (
         "The profiled stages run once per PE or replica per iteration at "
         "campaign scale, so a Python-level loop, a `list(...)`/`.tolist()` "
@@ -100,16 +99,10 @@ class HotPurityRule(LintRule):
         regions = HOT_REGIONS.get(ctx.module_path)
         if not regions:
             return
-        project = (
-            ctx.project
-            if isinstance(ctx.project, FlowProject)
-            else FlowProject.single(ctx.path, ctx.source)
-        )
+        project = ctx.project
         graph = project.analysis("callgraph", build_callgraph)
         purity = project.analysis("flow-purity", _purity)
-        module = project.by_path.get(ctx.path)
-        if module is None:
-            return
+        module = project.by_path[ctx.path]
         for qualname, mode in regions.items():
             fn = module.functions.get(qualname)
             if fn is None:
@@ -140,7 +133,7 @@ class HotPurityRule(LintRule):
                     continue
                 ctx.report(
                     site.node,
-                    f"hot-path call to `{callee.display}`, which "
+                    f"hot-path call to `{callee.ref}`, which "
                     f"{summary.impurity}; hoist it out of the stage, make "
                     "the callee allocation-free, or mark it `@hot_path` "
                     "after auditing",

@@ -1,14 +1,14 @@
 """Worker-reachable global-mutation rule (FLOW-MUT).
 
-SPN002 flags writes to UPPER_CASE module registries outside their
-registration API -- in the file performing the write.  This rule asks the
-question that actually matters for spawn-start workers: *can this write
-execute inside a worker?*  It resolves every pool/process submission to
-its worker callable, walks the call graph from those entry points, and
-flags the frontier where worker-reachable code calls into a function that
-writes module-global state (any mutable module global, registration APIs
-included -- a worker calling its own ``register()`` still only mutates
-the worker's copy).
+Under spawn, a worker sees only the module state its initializer ships,
+so the question that matters for a module-global write is *can it
+execute inside a worker?*  This rule resolves every pool/process
+submission to its worker callable, walks the call graph from those entry
+points, and flags the frontier where worker-reachable code calls into a
+function that writes module-global state (any mutable module global,
+registration APIs included -- a worker calling its own ``register()``
+still only mutates the worker's copy).  Writes that run only in the
+parent are fine, however they are spelled.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _compute(project: FlowProject) -> List[_MutEvent]:
     reached_from: Dict[str, str] = {}
     queue: List[str] = []
     for ref in sorted(entries):
-        reached_from[ref] = entries[ref].display
+        reached_from[ref] = ref
         queue.append(ref)
     while queue:
         current = queue.pop(0)
@@ -91,7 +91,7 @@ def _compute(project: FlowProject) -> List[_MutEvent]:
                 entry.path,
                 line,
                 col,
-                f"worker entry `{entry.display}` writes module-global "
+                f"worker entry `{entry.ref}` writes module-global "
                 f"{names}; spawn workers re-import modules, so the write "
                 "diverges parent and worker state",
             )
@@ -115,7 +115,7 @@ def _compute(project: FlowProject) -> List[_MutEvent]:
                 fn.path,
                 line,
                 col,
-                f"call to `{callee.display}`, which writes module-global "
+                f"call to `{callee.ref}`, which writes module-global "
                 f"{names}, is reachable from worker entry "
                 f"`{reached_from[ref]}`; spawn workers re-import modules, "
                 "so the write diverges parent and worker state",
@@ -127,23 +127,17 @@ def _compute(project: FlowProject) -> List[_MutEvent]:
 class WorkerReachableMutationRule(LintRule):
     rule_id = "FLOW-MUT"
     name = "worker-reachable-global-mutation"
-    severity = "error"
     rationale = (
         "Spawn-start workers re-import every module, so a module-global "
         "write executed inside a worker mutates the worker's private copy "
-        "and silently diverges from the parent -- the PR 5 spawn-registry "
-        "bug class. SPN002 sees the write only in its own file; this rule "
-        "resolves pool submissions to their worker callables and walks "
-        "the call graph, so a write two helpers deep is still caught."
+        "and silently diverges from the parent: the spawn-registry bug "
+        "class. This rule resolves pool submissions to their worker "
+        "callables and walks the call graph, so a write two helpers deep "
+        "is still caught."
     )
 
     def check(self, ctx: FileContext) -> None:
-        project = (
-            ctx.project
-            if isinstance(ctx.project, FlowProject)
-            else FlowProject.single(ctx.path, ctx.source)
-        )
-        events: List[_MutEvent] = project.analysis("flow-mut", _compute)
+        events: List[_MutEvent] = ctx.project.analysis("flow-mut", _compute)
         for event in events:
             if event.path != ctx.path:
                 continue

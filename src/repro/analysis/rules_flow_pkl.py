@@ -45,8 +45,6 @@ _PASSTHROUGH = frozenset(
 
 
 class _PickleSpec(TaintSpec):
-    family = "FLOW-PKL"
-
     def call_source(self, site: CallSite) -> Optional[str]:
         if site.external == "open":
             return "an open file handle"
@@ -94,7 +92,6 @@ def _compute(project: FlowProject) -> TaintResult:
 class PoolPayloadPickleRule(LintRule):
     rule_id = "FLOW-PKL"
     name = "unpicklable-payload-reaches-pool"
-    severity = "error"
     rationale = (
         "Spawn-start workers unpickle everything they receive; a lambda "
         "or local def submitted to a pool, the same lambda wrapped in "
@@ -108,12 +105,7 @@ class PoolPayloadPickleRule(LintRule):
     )
 
     def check(self, ctx: FileContext) -> None:
-        project = (
-            ctx.project
-            if isinstance(ctx.project, FlowProject)
-            else FlowProject.single(ctx.path, ctx.source)
-        )
-        result = project.analysis("flow-pkl", _compute)
+        result = ctx.project.analysis("flow-pkl", _compute)
         for event in result.events_for(ctx.path):
             ctx.report(
                 ctx.tree,

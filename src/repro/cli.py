@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -804,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "sarif"),
         default="text",
         help="findings output format (default: %(default)s)",
     )
@@ -813,12 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ID[,ID...]",
         help="comma-separated rule ids to run (default: every registered rule)",
-    )
-    lint_parser.add_argument(
-        "--callgraph-out",
-        default=None,
-        metavar="FILE",
-        help="also dump the resolved project call graph as JSON to FILE",
     )
     lint_parser.add_argument(
         "--output",
@@ -834,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="print the rule catalog (id, severity, name, rationale) and exit",
+        help="print the rule catalog (id, name, rationale) and exit",
     )
     return parser
 
@@ -845,7 +838,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     if args.list_rules:
         for rule in analysis.all_rules():
-            print(f"{rule.rule_id}  [{rule.severity:7s}]  {rule.name}")
+            print(f"{rule.rule_id}  {rule.name}")
             print(f"    {rule.rationale}")
         return 0
     try:
@@ -865,23 +858,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
-    if args.callgraph_out is not None:
-        from repro.analysis.flow.callgraph import build_callgraph
-        from repro.analysis.flow.symbols import FlowProject
-
-        project = FlowProject.from_paths(analysis.collect_files(paths))
-        graph_payload = build_callgraph(project).to_payload()
-        try:
-            Path(args.callgraph_out).write_text(
-                json.dumps(graph_payload, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        except OSError as exc:
-            print(
-                f"repro lint: error: cannot write call graph: {exc}",
-                file=sys.stderr,
-            )
-            return 2
     report = analysis.render(
         findings, args.format, show_suppressed=args.show_suppressed
     )
@@ -893,8 +869,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
     else:
         print(report)
-    counts = analysis.summarize(findings)
-    return 1 if counts["errors"] or counts["warnings"] else 0
+    return 1 if analysis.summarize(findings)["errors"] else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

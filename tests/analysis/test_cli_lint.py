@@ -37,22 +37,6 @@ def test_findings_exit_one_text(bad_file, capsys):
     assert "DET001" in out and "bad.py:2" in out
 
 
-def test_json_round_trip(bad_file, capsys):
-    code = main(["lint", str(bad_file), "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 1
-    (row,) = payload["findings"]
-    assert row["rule"] == "DET001"
-    assert row["line"] == 2
-    assert row["suppressed"] is False
-    assert payload["summary"] == {
-        "total": 1,
-        "suppressed": 0,
-        "errors": 1,
-        "warnings": 0,
-    }
-
-
 def test_sarif_format_parses(bad_file, capsys):
     assert main(["lint", str(bad_file), "--format", "sarif"]) == 1
     payload = json.loads(capsys.readouterr().out)
@@ -77,18 +61,19 @@ def test_missing_path_is_usage_error(tmp_path, capsys):
 
 
 def test_output_file(bad_file, tmp_path, capsys):
-    out_file = tmp_path / "report.json"
+    out_file = tmp_path / "report.sarif"
     code = main(
-        ["lint", str(bad_file), "--format", "json", "--output", str(out_file)]
+        ["lint", str(bad_file), "--format", "sarif", "--output", str(out_file)]
     )
     assert code == 1
     assert capsys.readouterr().out == ""
-    assert json.loads(out_file.read_text())["summary"]["errors"] == 1
+    (result,) = json.loads(out_file.read_text())["runs"][0]["results"]
+    assert result["ruleId"] == "DET001"
 
 
 def test_unwritable_output_is_usage_error(bad_file, tmp_path, capsys):
-    target = tmp_path / "no-such-dir" / "report.json"
-    code = main(["lint", str(bad_file), "--format", "json", "--output", str(target)])
+    target = tmp_path / "no-such-dir" / "report.sarif"
+    code = main(["lint", str(bad_file), "--format", "sarif", "--output", str(target)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("repro lint: error: cannot write report")
@@ -106,7 +91,7 @@ def test_non_utf8_file_is_a_finding_not_a_crash(tmp_path, capsys):
 def test_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "SPN002", "FLOW-HOT", "API001", "SUP001"):
+    for rule_id in ("DET001", "FLOW-MUT", "FLOW-HOT", "API001", "SUP001"):
         assert rule_id in out
 
 
@@ -120,23 +105,3 @@ def test_suppressed_findings_hidden_unless_requested(tmp_path, capsys):
     assert "DET001" not in capsys.readouterr().out
     assert main(["lint", str(path), "--show-suppressed"]) == 0
     assert "(suppressed)" in capsys.readouterr().out
-
-
-def test_callgraph_out_dumps_project_graph(tmp_path, capsys):
-    (tmp_path / "repro").mkdir()
-    (tmp_path / "repro" / "mod.py").write_text(
-        "def helper():\n    return 1\n\ndef main():\n    return helper()\n"
-    )
-    graph_file = tmp_path / "callgraph.json"
-    code = main(
-        [
-            "lint",
-            str(tmp_path / "repro"),
-            "--callgraph-out",
-            str(graph_file),
-        ]
-    )
-    assert code == 0
-    payload = json.loads(graph_file.read_text())
-    assert payload["version"] == 1
-    assert ["repro.mod.main", "repro.mod.helper"] in payload["edges"]

@@ -1,15 +1,11 @@
-"""Call-graph resolution golden test and the content-hash module cache."""
+"""Call-graph resolution golden tests."""
 
 from __future__ import annotations
 
 from typing import Dict
 
 from repro.analysis.flow.callgraph import build_callgraph
-from repro.analysis.flow.symbols import (
-    FlowProject,
-    cache_counters,
-    reset_cache,
-)
+from repro.analysis.flow.symbols import FlowProject
 
 _FILES = {
     "repro/core.py": (
@@ -38,42 +34,35 @@ _FILES = {
 }
 
 
-def _write(tmp_path, files: Dict[str, str]):
-    out = []
-    for rel, source in files.items():
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source, encoding="utf-8")
-        out.append(path)
-    return sorted(out)
+def _graph(files: Dict[str, str]):
+    return build_callgraph(FlowProject(sorted(files.items())))
 
 
-def test_callgraph_golden_payload(tmp_path):
-    project = FlowProject.from_paths(_write(tmp_path, _FILES))
-    payload = build_callgraph(project).to_payload()
-    assert payload["version"] == 1
-    assert payload["functions"] == [
+def test_callgraph_golden_payload():
+    graph = _graph(_FILES)
+    assert sorted(graph.sites) == [
         "repro.app.main",
         "repro.core.Engine.__init__",
         "repro.core.Engine._advance",
         "repro.core.Engine.step",
         "repro.core.run",
     ]
-    assert payload["edges"] == [
+    assert graph.edges() == [
         # main -> Engine() resolves to the constructor's __init__ ...
-        ["repro.app.main", "repro.core.Engine.__init__"],
+        ("repro.app.main", "repro.core.Engine.__init__"),
         # ... and main -> run via the imported member.
-        ["repro.app.main", "repro.core.run"],
+        ("repro.app.main", "repro.core.run"),
         # self-method resolution inside the class ...
-        ["repro.core.Engine.step", "repro.core.Engine._advance"],
+        ("repro.core.Engine.step", "repro.core.Engine._advance"),
         # ... and annotated-parameter resolution for engine.step().
-        ["repro.core.run", "repro.core.Engine.step"],
+        ("repro.core.run", "repro.core.Engine.step"),
     ]
-    assert payload["external_calls"] == {"numpy.zeros": 1}
-    assert payload["unresolved_calls"] == {}
+    sites = [site for sites in graph.sites.values() for site in sites]
+    assert [site.external for site in sites if site.external] == ["numpy.zeros"]
+    assert [site.unresolved_attr for site in sites if site.unresolved_attr] == []
 
 
-def test_fallback_never_resolves_builtin_container_methods(tmp_path):
+def test_fallback_never_resolves_builtin_container_methods():
     files = {
         "repro/log.py": (
             "class EventLog:\n"
@@ -91,36 +80,8 @@ def test_fallback_never_resolves_builtin_container_methods(tmp_path):
             "    return out\n"
         ),
     }
-    project = FlowProject.from_paths(_write(tmp_path, files))
-    payload = build_callgraph(project).to_payload()
     # `out.append(...)` must NOT resolve to EventLog.append, even though it
     # is the unique project function with that bare name.
-    assert ["repro.user.collect", "repro.log.EventLog.append"] not in (
-        payload["edges"]
+    assert ("repro.user.collect", "repro.log.EventLog.append") not in (
+        _graph(files).edges()
     )
-
-
-def test_module_cache_rebuilds_only_the_edited_file(tmp_path):
-    paths = _write(tmp_path, _FILES)
-    reset_cache()
-    FlowProject.from_paths(paths)
-    first = cache_counters()
-    assert first["builds"] == len(_FILES)
-    assert first["hits"] == 0
-
-    # Unchanged sources: every module comes from the cache.
-    FlowProject.from_paths(paths)
-    second = cache_counters()
-    assert second["builds"] == first["builds"]
-    assert second["hits"] == first["hits"] + len(_FILES)
-
-    # Edit exactly one file: exactly one summary recomputes.
-    app = tmp_path / "repro/app.py"
-    app.write_text(
-        _FILES["repro/app.py"] + "\n\ndef extra():\n    return 1\n",
-        encoding="utf-8",
-    )
-    FlowProject.from_paths(paths)
-    third = cache_counters()
-    assert third["builds"] == second["builds"] + 1
-    assert third["hits"] == second["hits"] + len(_FILES) - 1

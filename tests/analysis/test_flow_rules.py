@@ -1,9 +1,10 @@
-"""Interprocedural FLOW-* rules over multi-file fixture packages.
+"""Rules over multi-file fixture packages.
 
 Every true-positive fixture here splits its violation across a module
-boundary and asserts that the FLOW rule catches it; where a single-file
-rule guards the same invariant (DET002 / SPN002), it also asserts that
-rule provably does not -- the whole reason the dataflow layer exists.
+boundary.  The FLOW-* rules catch it where it crosses the boundary.  The
+seed-flow fixtures (``test_flow_rng_*``, named after the rule that used
+to trace them) assert that DET002 flags the entropy-seeded generator
+where it is built, so no flow of it can reach the simulation core.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ def _rules_hit(findings: List[Finding]) -> Dict[str, List[Finding]]:
 
 
 # ----------------------------------------------------------------------
-# FLOW-RNG: entropy-seeded generator laundered through a helper.
+# Seed flow: entropy-seeded generator laundered through a helper.
 # ----------------------------------------------------------------------
 
 _RNG_TP = {
     # The entropy source hides behind the project's own `ensure_rng()`
-    # helper called with no seed -- DET002 only knows numpy spellings.
+    # helper called with no seed, two modules away from the core.
     "repro/utils/rng.py": (
         "import numpy as np\n"
         "\n"
@@ -80,13 +81,12 @@ _RNG_TP = {
 
 def test_flow_rng_catches_cross_module_seed_flow(tmp_path):
     hit = _rules_hit(_lint(tmp_path, _RNG_TP))
-    assert "FLOW-RNG" in hit, sorted(hit)
-    (finding,) = hit["FLOW-RNG"]
-    assert finding.path.endswith("repro/driver.py")
-    assert "simulate" in finding.message
-    # The single-file determinism rules provably miss the laundered flow.
-    for det in ("DET001", "DET002", "DET003", "DET004", "DET005"):
-        assert det not in hit, hit.get(det)
+    assert sorted(hit) == ["DET002"], sorted(hit)
+    (finding,) = hit["DET002"]
+    # Flagged where the generator is built, not where it reaches the core.
+    assert finding.path.endswith("repro/helpers.py")
+    assert (finding.line, finding.col) == (4, 11)
+    assert "ensure_rng()" in finding.message
 
 
 def test_flow_rng_clean_when_seed_is_explicit(tmp_path):
@@ -106,19 +106,21 @@ def test_flow_rng_clean_when_seed_is_explicit(tmp_path):
         "    return simulate(rng)\n"
     )
     hit = _rules_hit(_lint(tmp_path, files))
-    assert "FLOW-RNG" not in hit, hit.get("FLOW-RNG")
+    assert hit == {}, hit
 
 
 def test_flow_rng_suppression_works(tmp_path):
     files = dict(_RNG_TP)
-    files["repro/driver.py"] = files["repro/driver.py"].replace(
-        "    return simulate(rng)\n",
-        "    return simulate(rng)  "
-        "# repro: noqa[FLOW-RNG] -- fixture: exploratory tool, not the core\n",
+    files["repro/helpers.py"] = files["repro/helpers.py"].replace(
+        "    return ensure_rng()\n",
+        "    return ensure_rng()  "
+        "# repro: noqa[DET002] -- fixture: exploratory tool, not the core\n",
     )
     findings = _lint(tmp_path, files)
-    flow = [f for f in findings if f.rule == "FLOW-RNG"]
-    assert flow and all(f.suppressed for f in flow)
+    assert _rules_hit(findings) == {}
+    (det,) = [f for f in findings if f.rule == "DET002"]
+    assert det.suppressed
+    assert det.justification == "fixture: exploratory tool, not the core"
 
 
 # ----------------------------------------------------------------------
@@ -295,8 +297,8 @@ def test_flow_pkl_catches_lock_in_payload_tuple(tmp_path):
 # ----------------------------------------------------------------------
 
 _MUT_TP = {
-    # The write sits inside a registration API, which SPN002 explicitly
-    # allows -- the problem is *where it runs*, not how it is spelled.
+    # The write sits inside a registration API; the problem is *where it
+    # runs*, not how it is spelled.
     "repro/registry.py": (
         "_CATALOG = {}\n"
         "\n"
@@ -330,8 +332,6 @@ def test_flow_mut_catches_worker_reachable_registry_write(tmp_path):
         "init_worker" in f.message and "_CATALOG" in f.message
         for f in hit["FLOW-MUT"]
     )
-    # SPN002 permits writes inside registration APIs, so it misses this.
-    assert "SPN002" not in hit, hit.get("SPN002")
 
 
 def test_flow_mut_clean_when_write_is_parent_side_only(tmp_path):

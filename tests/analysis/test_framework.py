@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import json
 
 import pytest
 
 from repro.analysis import (
-    Finding,
     get_rules,
     lint_paths,
     lint_source,
     parse_suppressions,
     render,
-    render_json,
     render_sarif,
     summarize,
 )
@@ -25,6 +24,8 @@ from repro.analysis.framework import (
 )
 
 _BAD = "import numpy as np\nnp.random.seed(1)\n"
+#: A bare suppression (SUP001) and one naming an unknown rule (SUP002).
+_HYGIENE = "x = 1  # repro: noqa[DET004]\ny = 2  # repro: noqa[NOPE999] -- typo'd id\n"
 
 
 def _unsuppressed(findings):
@@ -78,6 +79,23 @@ class TestSuppressions:
         findings = lint_source(source)
         assert [f.rule for f in findings] == [UNKNOWN_SUPPRESSION_RULE]
 
+    def test_hygiene_findings_skipped_when_rules_not_selected(self):
+        assert lint_source(_HYGIENE, rules=get_rules(["DET001"])) == []
+
+    def test_hygiene_findings_emitted_when_selected(self):
+        only_sup001 = lint_source(_HYGIENE, rules=get_rules([MISSING_JUSTIFICATION_RULE]))
+        assert [(f.rule, f.line) for f in only_sup001] == [
+            (MISSING_JUSTIFICATION_RULE, 1)
+        ]
+        both = lint_source(
+            _HYGIENE,
+            rules=get_rules([MISSING_JUSTIFICATION_RULE, UNKNOWN_SUPPRESSION_RULE]),
+        )
+        assert [(f.rule, f.line) for f in both] == [
+            (MISSING_JUSTIFICATION_RULE, 1),
+            (UNKNOWN_SUPPRESSION_RULE, 2),
+        ]
+
     def test_colon_separator_accepted(self):
         source = (
             "import numpy as np\n"
@@ -105,7 +123,7 @@ class TestDrivers:
     def test_syntax_error_becomes_syn001(self):
         (finding,) = lint_source("def broken(:\n")
         assert finding.rule == SYNTAX_RULE
-        assert finding.severity == "error"
+        assert finding.line == 1
 
     def test_lint_paths_walks_directories(self, tmp_path):
         (tmp_path / "pkg").mkdir()
@@ -123,8 +141,33 @@ class TestDrivers:
             (SYNTAX_RULE, "a.py"),
             ("DET001", "b.py"),
         ]
-        assert findings[0].severity == "error"
         assert "unreadable source" in findings[0].message
+
+    def test_lint_paths_parses_each_file_once(self, tmp_path, monkeypatch):
+        (tmp_path / "repro" / "batch").mkdir(parents=True)
+        (tmp_path / "repro" / "a.py").write_text(_BAD)
+        (tmp_path / "repro" / "b.py").write_text(
+            "import numpy as np\n\ndef helper():\n    return np.zeros(3)\n"
+        )
+        (tmp_path / "repro" / "batch" / "runner.py").write_text(
+            "from repro.b import helper\n"
+            "\n"
+            "class BatchRunner:\n"
+            "    def run(self, iterations):\n"
+            "        for iteration in range(iterations):\n"
+            "            helper()\n"
+        )
+        parses = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            parses.append(source)
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        findings = lint_paths([tmp_path])
+        assert sorted(f.rule for f in findings) == ["DET001", "FLOW-HOT"]
+        assert len(parses) == 3
 
     def test_unreadable_file_becomes_syn001_not_a_skip(self, tmp_path):
         # A directory named like a module matches the *.py walk but raises
@@ -161,22 +204,10 @@ class TestDrivers:
 # Findings and reporters.
 # ----------------------------------------------------------------------
 class TestReporters:
-    def test_finding_severity_validated(self):
-        with pytest.raises(ValueError):
-            Finding("X001", "fatal", "a.py", 1, 0, "boom")
-
     def test_text_report_counts(self):
         report = render(lint_source(_BAD), "text")
         assert "DET001" in report
-        assert "1 error(s), 0 warning(s), 0 suppressed" in report
-
-    def test_json_report_schema(self):
-        payload = json.loads(render_json(lint_source(_BAD, path="m.py")))
-        (row,) = payload["findings"]
-        assert row["rule"] == "DET001"
-        assert row["path"] == "m.py"
-        assert row["suppressed"] is False
-        assert payload["summary"]["errors"] == 1
+        assert "1 error(s), 0 suppressed" in report
 
     def test_sarif_report_shape(self):
         payload = json.loads(render_sarif(lint_source(_BAD)))
@@ -197,4 +228,4 @@ class TestReporters:
             "np.random.rand()\n"
         )
         counts = summarize(lint_source(source))
-        assert counts == {"total": 2, "suppressed": 1, "errors": 1, "warnings": 0}
+        assert counts == {"total": 2, "suppressed": 1, "errors": 1}

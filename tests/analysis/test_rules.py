@@ -10,7 +10,9 @@ from repro.analysis import lint_source
 #: case id -> (rule id, source, lint path).  A rule may own several bug
 #: classes; the case ids of the loop, copy, allocation and lambda-payload
 #: snippets keep the names of the single-file rules FLOW-HOT and FLOW-PKL
-#: absorbed.  The suppression test below derives its case from the same
+#: absorbed, and the registry-write snippet keeps SPN002's name: the bug
+#: class behind it, a write that runs inside a worker, is FLOW-MUT's.
+#: The suppression test below derives its case from the same
 #: snippet by inserting a justified noqa at the reported line, so every
 #: case is exercised through all three outcomes.
 TRUE_POSITIVES = {
@@ -22,6 +24,21 @@ TRUE_POSITIVES = {
     "DET002": (
         "DET002",
         "from numpy.random import default_rng\nrng = default_rng()\n",
+        "repro/pkg/mod.py",
+    ),
+    "DET002-SeedSequence": (
+        "DET002",
+        "import numpy as np\nss = np.random.SeedSequence()\n",
+        "repro/pkg/mod.py",
+    ),
+    "DET002-default_rng-None": (
+        "DET002",
+        "import numpy as np\nrng = np.random.default_rng(seed=None)\n",
+        "repro/pkg/mod.py",
+    ),
+    "DET002-ensure_rng-local": (
+        "DET002",
+        "def ensure_rng(seed=None):\n    return seed\n\ngen = ensure_rng(None)\n",
         "repro/pkg/mod.py",
     ),
     "DET003": (
@@ -45,8 +62,17 @@ TRUE_POSITIVES = {
         "repro/pkg/mod.py",
     ),
     "SPN002": (
-        "SPN002",
-        "_REGISTRY = {}\n\ndef lookup(name, value):\n    _REGISTRY[name] = value\n",
+        "FLOW-MUT",
+        "_REGISTRY = {}\n"
+        "\n"
+        "def remember(name, value):\n"
+        "    _REGISTRY[name] = value\n"
+        "\n"
+        "def work(cell):\n"
+        "    remember('cell', cell)\n"
+        "\n"
+        "def launch(pool, cell):\n"
+        "    return pool.submit(work, cell)\n",
         "repro/pkg/mod.py",
     ),
     "HOT001": (
@@ -121,9 +147,12 @@ class TestDeterminismNegatives:
     def test_seeded_generator_constructors_allowed(self):
         source = (
             "import numpy as np\n"
+            "from repro.utils.rng import ensure_rng\n"
             "rng = np.random.default_rng(42)\n"
             "ss = np.random.SeedSequence(7)\n"
             "gen = np.random.Generator(np.random.PCG64(3))\n"
+            "def make(seed, *args, **kwargs):\n"
+            "    return ensure_rng(seed), ensure_rng(*args), ensure_rng(**kwargs)\n"
         )
         assert _rules_of(lint_source(source, "repro/pkg/mod.py")) == []
 
@@ -230,13 +259,17 @@ class TestSpawnNegatives:
         assert _rules_of(lint_source(source, "repro/pkg/mod.py")) == []
 
     def test_mutating_method_outside_api_flagged(self):
+        # A mutating method call on a module global, run inside a worker.
         source = (
             "_POLICIES = {}\n"
             "\n"
             "def install(extra):\n"
             "    _POLICIES.update(extra)\n"
+            "\n"
+            "def launch(pool, extra):\n"
+            "    return pool.submit(install, extra)\n"
         )
-        assert _rules_of(lint_source(source, "repro/pkg/mod.py")) == ["SPN002"]
+        assert _rules_of(lint_source(source, "repro/pkg/mod.py")) == ["FLOW-MUT"]
 
 
 class TestHotLoopNegatives:

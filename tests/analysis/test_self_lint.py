@@ -25,12 +25,10 @@ EXPECTED_RULES = {
     "DET003",
     "DET004",
     "DET005",
-    "SPN002",
     "API001",
     "API002",
     "SUP001",
     "SUP002",
-    "FLOW-RNG",
     "FLOW-HOT",
     "FLOW-PKL",
     "FLOW-MUT",
@@ -48,7 +46,6 @@ def test_rule_catalog_is_exactly_the_shipped_set():
 def test_every_rule_has_identity_and_rationale():
     for rule in all_rules():
         assert rule.rule_id and rule.name, rule
-        assert rule.severity in ("error", "warning"), rule.rule_id
         assert len(rule.rationale) > 40, f"{rule.rule_id} needs a real rationale"
 
 
