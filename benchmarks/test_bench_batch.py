@@ -105,20 +105,22 @@ def run_batched(use_gossip):
     return runner.run(ITERATIONS)
 
 
-def _best_of(func, repetitions):
-    best = float("inf")
-    result = None
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        result = func()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+def _timed(func, *args):
+    start = time.perf_counter()
+    result = func(*args)
+    return time.perf_counter() - start, result
 
 
 def _measure(use_gossip, threshold, label):
     reps = 2 if SMOKE else 4
-    seq_time, seq_results = _best_of(lambda: run_sequential(use_gossip), reps)
-    batch_time, batch_result = _best_of(lambda: run_batched(use_gossip), reps)
+    # Alternate the two sides so host drift during the measurement lands on
+    # both of them; each side keeps its best of ``reps`` runs.
+    seq_time = batch_time = float("inf")
+    for _ in range(reps):
+        elapsed, seq_results = _timed(run_sequential, use_gossip)
+        seq_time = min(seq_time, elapsed)
+        elapsed, batch_result = _timed(run_batched, use_gossip)
+        batch_time = min(batch_time, elapsed)
 
     # Same runs, same schedules: the batch engine is bit-identical.
     assert [r.num_lb_calls for r in seq_results] == batch_result.lb_calls().tolist()

@@ -30,7 +30,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type, Union
 
 from repro.analysis.findings import Finding
 
@@ -416,16 +416,28 @@ def _read_source(path: Path) -> Union[str, Finding]:
 
 
 def collect_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
-    """Expand files and directory trees to a sorted, deterministic file list."""
+    """Expand files and directory trees to a sorted, deterministic file list.
+
+    A file reached twice (named directly and inside a named directory, or
+    named twice) is listed once, at its first position: a duplicate would
+    register its module twice in the run's ``FlowProject`` and report its
+    findings twice.
+    """
     files: List[Path] = []
+    seen: Set[Path] = set()
     for entry in paths:
         entry = Path(entry)
         if entry.is_dir():
-            files.extend(sorted(entry.rglob("*.py")))
+            found = sorted(entry.rglob("*.py"))
         elif entry.exists():
-            files.append(entry)
+            found = [entry]
         else:
             raise FileNotFoundError(f"no such file or directory: {entry}")
+        for file in found:
+            resolved = file.resolve()
+            if resolved not in seen:
+                seen.add(resolved)
+                files.append(file)
     return files
 
 

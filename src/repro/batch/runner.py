@@ -569,8 +569,7 @@ class BatchRunner:
         self._total_iterations = iterations
         R, P = self.num_replicas, self.num_pes
         state = self.state
-        comm = self.clusters[0].comm.cost_model
-        sync_cost = comm.collective(P, 8.0)
+        sync_cost = self.clusters[0].cost_model.collective(P, 8.0)
         flop_per_load = np.asarray(
             [app.flop_per_load_unit for app in self.applications], dtype=float
         )[:, None]
@@ -597,22 +596,14 @@ class BatchRunner:
             flop_per_pe = stripe_loads * flop_per_load
 
             # Line 10, batched: one bulk-synchronous compute phase of every
-            # replica (the elementwise ops of VirtualCluster.compute_step).
+            # replica (the same method VirtualCluster.compute_step runs).
             t0 = prof.start() if prof is not None else 0
-            start = state.clock.max(axis=1)
             pe_times = flop_per_pe / state.speed
-            state.clock += pe_times
-            state.busy_time += pe_times
-            end = state.clock.max(axis=1) + sync_cost
-            state.clock[:] = end[:, None]
+            start, end = state.compute_phase(pe_times, sync_cost)
             elapsed = end - start
             pe_times_buf[:, iteration] = pe_times
             elapsed_buf[:, iteration] = elapsed
             timestamp_buf[:, iteration] = end
-            # repro: noqa[FLOW-HOT] -- two scalar attribute bumps per replica on plain-Python comm counters; vectorizing would need an array-backed facade for bookkeeping only
-            for cluster in self.clusters:
-                cluster.comm.num_collectives += 1
-                cluster.comm.comm_time += sync_cost
             if prof is not None:
                 prof.stop("compute_step", t0)
                 t0 = prof.start()

@@ -39,9 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.config import RunnerConfig, TopologyConfig
-from repro.api.session import Session
-from repro.erosion.app import ErosionApplication, ErosionConfig
 from repro.experiments.common import ExperimentSeeds, format_percentage, format_table
 from repro.lb.registry import make_policy_pair
 from repro.runtime.report import PolicyComparison
@@ -50,9 +47,8 @@ from repro.scenarios.erosion import (
     DEFAULT_BANDWIDTH,
     DEFAULT_BYTES_PER_LOAD_UNIT,
     DEFAULT_LATENCY,
+    ErosionScenario,
 )
-from repro.simcluster.cluster import VirtualCluster
-from repro.simcluster.comm import CommCostModel
 from repro.utils.stats import relative_gain
 from repro.utils.validation import check_fraction, check_positive, check_positive_int
 
@@ -289,40 +285,22 @@ def run_erosion_case(
     RunResult
         Trace, LB reports and summary statistics of the run.
     """
-    check_positive_int(num_pes, "num_pes")
-    check_positive_int(iterations, "iterations")
-    check_positive(pe_speed, "pe_speed")
     if policy not in ("standard", "ulba"):
         raise ValueError(f"policy must be 'standard' or 'ulba', got {policy!r}")
-
-    config = ErosionConfig(
+    scenario = ErosionScenario(
         num_pes=num_pes,
+        num_strong_rocks=num_strong_rocks,
+        iterations=iterations,
         columns_per_pe=columns_per_pe,
         rows=rows,
-        num_strong_rocks=num_strong_rocks,
-        seed=seed,
-    )
-    app = ErosionApplication.from_config(config)
-    cluster = VirtualCluster(
-        num_pes,
+        latency=latency,
+        bandwidth=bandwidth,
+        bytes_per_load_unit=bytes_per_load_unit,
         pe_speed=pe_speed,
-        cost_model=CommCostModel(latency=latency, bandwidth=bandwidth),
-    )
-    if policy == "standard":
-        workload_policy, trigger = make_policy_pair("standard")
-    else:
-        workload_policy, trigger = make_policy_pair("ulba", alpha=alpha)
-
-    session = Session(
-        cluster,
-        app,
-        workload_policy,
-        trigger,
-        runner_config=RunnerConfig(bytes_per_load_unit=bytes_per_load_unit),
-        topology=TopologyConfig(use_gossip=use_gossip),
         seed=seed,
     )
-    return session.run(iterations).run
+    params = {"alpha": alpha} if policy == "ulba" else {}
+    return scenario.run(*make_policy_pair(policy, **params), use_gossip=use_gossip)
 
 
 def _median_run(runs: Sequence[RunResult]) -> RunResult:

@@ -222,7 +222,7 @@ class IterativeRunner:
             [application],
             seeds=[seed],
             pe_speed=cluster.pe_speed,
-            cost_model=cluster.comm.cost_model,
+            cost_model=cluster.cost_model,
             workload_policies=[self.workload_policy],
             trigger_policies=[self.trigger_policy],
             use_gossip=use_gossip,

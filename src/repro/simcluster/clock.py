@@ -48,11 +48,6 @@ class VirtualClock:
             self._now = float(timestamp)
         return self._now
 
-    def reset(self, timestamp: float = 0.0) -> None:
-        """Reset the clock (used between independent experiment runs)."""
-        check_non_negative(timestamp, "timestamp")
-        self._now = float(timestamp)
-
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"VirtualClock(now={self._now:.6f})"

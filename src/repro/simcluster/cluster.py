@@ -1,8 +1,8 @@
 """The :class:`VirtualCluster` facade.
 
-A :class:`VirtualCluster` bundles the PEs, their communicator and the trace
-recorder, and offers the small amount of orchestration the SPMD-style
-applications of this repository need:
+A :class:`VirtualCluster` bundles the PE state, the interconnect cost model
+and the trace recorder, and offers the small amount of orchestration the
+SPMD-style applications of this repository need:
 
 * ``compute_step(loads)`` -- charge one bulk-synchronous compute phase where
   PE ``p`` executes ``loads[p]`` FLOP and everyone then synchronises (the
@@ -12,22 +12,21 @@ applications of this repository need:
 * snapshots of per-PE busy time used by the utilization trace of Figure 4b.
 
 The per-PE state lives in flat NumPy vectors
-(:class:`~repro.simcluster.pe.PEStateArrays`), so a compute step is a
-handful of array operations -- one division, two in-place adds and a max --
-instead of a Python loop over PE objects.  ``cluster.pes`` exposes thin
-:class:`~repro.simcluster.pe.ProcessingElementView` objects over that state
-for API compatibility with code addressing individual PEs.
+(:class:`~repro.simcluster.pe.PEStateArrays`, ``cluster.state``), and a
+compute step is that state's
+:meth:`~repro.simcluster.pe.PEStateArrays.compute_phase` -- the same method
+the batch engine runs on its ``(R, P)`` state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.simcluster.comm import CommCostModel, SimCommunicator
-from repro.simcluster.pe import PEStateArrays, ProcessingElementView
+from repro.simcluster.comm import CommCostModel
+from repro.simcluster.pe import PEStateArrays
 from repro.simcluster.tracing import ClusterTrace
 from repro.utils.validation import check_non_negative, check_positive, check_positive_int
 
@@ -54,7 +53,7 @@ class StepResult:
 
 
 class VirtualCluster:
-    """A fixed-size group of simulated PEs with a communicator and a trace."""
+    """A fixed-size group of simulated PEs with a cost model and a trace."""
 
     def __init__(
         self,
@@ -69,7 +68,7 @@ class VirtualCluster:
         if state is not None:
             # Externally owned state (e.g. a replica row view of a batched
             # (R, P) PEStateArrays): the cluster charges its costs into the
-            # shared arrays while keeping its own trace and comm counters.
+            # shared arrays while keeping its own trace.
             if state.replicas is not None or state.size != num_pes:
                 raise ValueError(
                     "state must be an unbatched PEStateArrays with "
@@ -78,10 +77,8 @@ class VirtualCluster:
             self.state = state
         else:
             self.state = PEStateArrays(num_pes, pe_speed)
-        self.pes: List[ProcessingElementView] = [
-            ProcessingElementView(self.state, r) for r in range(num_pes)
-        ]
-        self.comm = SimCommunicator(self.pes, cost_model)
+        #: Interconnect model charged by every collective.
+        self.cost_model = cost_model or CommCostModel()
         self.trace = ClusterTrace(num_pes=num_pes)
 
     # ------------------------------------------------------------------
@@ -99,10 +96,6 @@ class VirtualCluster:
     def now(self) -> float:
         """Common virtual time (all clocks agree outside of a compute phase)."""
         return self.state.now()
-
-    def busy_times(self) -> np.ndarray:
-        """Cumulative per-PE busy time, in rank order."""
-        return self.state.busy_time.copy()
 
     # ------------------------------------------------------------------
     def compute_step(
@@ -134,29 +127,24 @@ class VirtualCluster:
         if (loads < 0).any():
             raise ValueError("loads_flop must all be >= 0")
 
-        state = self.state
-        start = state.now()
-        pe_times = loads / state.speed
-        state.clock += pe_times
-        state.busy_time += pe_times
+        pe_times = loads / self.state.speed
         # Closing collective: every iteration of the paper's application ends
         # with an exchange of boundary data / workload metrics.
-        cost = self.comm.cost_model.collective(self.size, sync_bytes)
-        end = state.synchronize(cost)
-        self.comm.num_collectives += 1
-        self.comm.comm_time += cost
-        elapsed = end - start
+        cost = self.cost_model.collective(self.size, sync_bytes)
+        start, end = self.state.compute_phase(pe_times, cost)
+        completed_at = float(end)
+        elapsed = completed_at - float(start)
 
         times_list = pe_times.tolist()
         result = StepResult(
-            elapsed=elapsed, pe_times=tuple(times_list), completed_at=end
+            elapsed=elapsed, pe_times=tuple(times_list), completed_at=completed_at
         )
         if iteration is not None:
             self.trace.record_iteration(
                 iteration=iteration,
                 elapsed=elapsed,
                 pe_compute_times=times_list,
-                timestamp=end,
+                timestamp=completed_at,
             )
         return result
 
@@ -200,7 +188,7 @@ class VirtualCluster:
             max_volume = float(volumes.max()) if volumes.size else 0.0
 
         state = self.state
-        model = self.comm.cost_model
+        model = self.cost_model
         start = state.now()
         # Gather alphas / workloads at the root.
         gather_cost = model.collective(self.size, 8.0)
@@ -213,23 +201,8 @@ class VirtualCluster:
         # Migrate data (personalised exchange, bounded by the largest volume).
         migrate_cost = model.collective(self.size, max_volume)
         end = state.synchronize(migrate_cost)
-        self.comm.num_collectives += 3
-        self.comm.comm_time += gather_cost + bcast_cost + migrate_cost
 
         elapsed = end - start
         state.lb_time += elapsed
         self.trace.record_lb_event(iteration=iteration, cost=elapsed, timestamp=end)
         return elapsed
-
-    # ------------------------------------------------------------------
-    def synchronize(self) -> float:
-        """Barrier: align every PE clock; returns the common timestamp."""
-        return self.state.synchronize()
-
-    def reset(self) -> None:
-        """Reset clocks, accounting and traces (between repetitions)."""
-        self.state.reset()
-        self.trace = ClusterTrace(num_pes=self.size)
-        self.comm.num_collectives = 0
-        self.comm.num_messages = 0
-        self.comm.comm_time = 0.0

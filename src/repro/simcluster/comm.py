@@ -1,17 +1,20 @@
-"""MPI-like communicator for the virtual cluster.
+"""Communication cost model and the MPI-like communicator of the reference.
 
-The communicator offers the subset of MPI used by the paper's application and
-by Algorithm 2 (broadcast of the partition, gather of the ``alpha`` values,
-allgather of workload metrics, point-to-point migration of cells).  It
-operates in the simulator's *global view*: a collective takes the vector of
-per-rank send values and returns the vector of per-rank receive values, while
-charging virtual time to every participating PE:
+:class:`CommCostModel` is the first-order interconnect model every virtual
+cluster charges its collectives with: a simple log-tree model
+(``ceil(log2 P) * (latency + bytes / bandwidth)``), the standard
+first-order model of MPI collective implementations.  Every collective is
+also an implicit barrier -- all clocks synchronise to the latest
+participant before the cost is added.
 
-* every collective is an implicit barrier -- all clocks synchronise to the
-  latest participant;
-* on top of the barrier, a latency/bandwidth cost is charged according to a
-  simple log-tree model (``ceil(log2 P) * (latency + bytes / bandwidth)``),
-  the standard first-order model of MPI collective implementations.
+:class:`SimCommunicator` binds that model to a group of standalone
+:class:`~repro.simcluster.pe.ProcessingElement` objects and offers the two
+collectives of Algorithm 2 (gather of the ``alpha`` values at the root,
+broadcast of the partition) in the simulator's *global view*: a collective
+takes the vector of per-rank send values and returns the vector of per-rank
+receive values.  Only the frozen per-PE reference implementation
+(:mod:`repro.runtime.reference`) uses it; the vectorized cluster charges the
+same costs directly on its state arrays.
 
 Keeping the cost model explicit (rather than hiding it in the LB cost
 constant ``C``) lets the erosion experiments charge realistic, size-dependent
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, TypeVar
+from typing import Any, List, Optional, Sequence, TypeVar
 
 from repro.simcluster.clock import synchronize
 from repro.simcluster.pe import ProcessingElement
@@ -94,29 +97,12 @@ class SimCommunicator:
             )
         self._pes: List[ProcessingElement] = list(pes)
         self.cost_model = cost_model or CommCostModel()
-        #: Number of collective operations performed (diagnostics).
-        self.num_collectives = 0
-        #: Number of point-to-point messages performed (diagnostics).
-        self.num_messages = 0
-        #: Total virtual seconds charged for communication (per-PE, i.e. the
-        #: synchronised overhead, not the sum over PEs).
-        self.comm_time = 0.0
 
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
         """Number of PEs in the communicator (MPI ``Comm.Get_size``)."""
         return len(self._pes)
-
-    @property
-    def pes(self) -> List[ProcessingElement]:
-        """The participating PEs, in rank order."""
-        return list(self._pes)
-
-    def pe(self, rank: int) -> ProcessingElement:
-        """The PE with the given ``rank``."""
-        self._check_rank(rank)
-        return self._pes[rank]
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:
@@ -133,17 +119,10 @@ class SimCommunicator:
     def _collective_sync(self, nbytes: float) -> None:
         cost = self.cost_model.collective(self.size, nbytes)
         synchronize((pe.clock for pe in self._pes), extra_cost=cost)
-        self.num_collectives += 1
-        self.comm_time += cost
 
     # ------------------------------------------------------------------
     # Collectives (global view).
     # ------------------------------------------------------------------
-    def barrier(self) -> float:
-        """Synchronise all PEs; returns the post-barrier timestamp."""
-        self._collective_sync(0.0)
-        return self._pes[0].now
-
     def bcast(self, value: T, root: int = 0, *, nbytes: float = 8.0) -> List[T]:
         """Broadcast ``value`` from ``root``; every rank receives it."""
         self._check_rank(root)
@@ -165,83 +144,3 @@ class SimCommunicator:
         out: List[Optional[List[T]]] = [None] * self.size
         out[root] = list(values)
         return out
-
-    def allgather(self, values: Sequence[T], *, nbytes: float = 8.0) -> List[List[T]]:
-        """All ranks receive the full vector of per-rank ``values``."""
-        self._check_vector(values, "values")
-        self._collective_sync(nbytes * self.size)
-        gathered = list(values)
-        return [list(gathered) for _ in range(self.size)]
-
-    def scatter(
-        self, values: Sequence[T], root: int = 0, *, nbytes: float = 8.0
-    ) -> List[T]:
-        """Scatter one entry of ``values`` (held at ``root``) to each rank."""
-        self._check_rank(root)
-        self._check_vector(values, "values")
-        self._collective_sync(nbytes)
-        return list(values)
-
-    def allreduce(
-        self,
-        values: Sequence[float],
-        op: Callable[[Sequence[float]], float] = sum,
-        *,
-        nbytes: float = 8.0,
-    ) -> List[float]:
-        """Reduce per-rank ``values`` with ``op``; every rank gets the result."""
-        self._check_vector(values, "values")
-        self._collective_sync(nbytes)
-        result = op(list(values))
-        return [result for _ in range(self.size)]
-
-    def reduce(
-        self,
-        values: Sequence[float],
-        op: Callable[[Sequence[float]], float] = sum,
-        root: int = 0,
-        *,
-        nbytes: float = 8.0,
-    ) -> List[Optional[float]]:
-        """Reduce per-rank ``values`` with ``op`` at ``root``."""
-        self._check_rank(root)
-        self._check_vector(values, "values")
-        self._collective_sync(nbytes)
-        out: List[Optional[float]] = [None] * self.size
-        out[root] = op(list(values))
-        return out
-
-    def alltoall(
-        self, matrix: Sequence[Sequence[T]], *, nbytes: float = 8.0
-    ) -> List[List[T]]:
-        """Personalised all-to-all: ``matrix[src][dst]`` is delivered to ``dst``.
-
-        Returns ``received`` with ``received[dst][src] = matrix[src][dst]``.
-        """
-        self._check_vector(matrix, "matrix")
-        for row in matrix:
-            self._check_vector(row, "matrix row")
-        self._collective_sync(nbytes * self.size)
-        return [
-            [matrix[src][dst] for src in range(self.size)] for dst in range(self.size)
-        ]
-
-    # ------------------------------------------------------------------
-    # Point-to-point.
-    # ------------------------------------------------------------------
-    def send_recv(self, source: int, dest: int, nbytes: float = 8.0) -> float:
-        """Charge a point-to-point message from ``source`` to ``dest``.
-
-        The receiver cannot complete before the sender has sent, so the
-        receiver's clock is advanced to ``max(sender, receiver) + cost`` and
-        the sender's by the injection cost only.  Returns the transfer cost.
-        """
-        self._check_rank(source)
-        self._check_rank(dest)
-        cost = self.cost_model.point_to_point(nbytes)
-        sender = self._pes[source]
-        receiver = self._pes[dest]
-        sender.clock.advance(cost)
-        receiver.clock.advance_to(max(sender.now, receiver.now + cost))
-        self.num_messages += 1
-        return cost

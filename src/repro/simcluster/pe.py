@@ -6,16 +6,13 @@ virtual lifetime was spent computing (busy) versus waiting in collectives
 (idle).  The busy/total ratio per iteration is what Figure 4b plots as
 "average PE utilization".
 
-Two representations coexist:
-
-* :class:`ProcessingElement` -- the standalone object, convenient for unit
-  tests and for code that manipulates a single simulated rank;
-* :class:`PEStateArrays` + :class:`ProcessingElementView` -- flat NumPy
-  state vectors (clock, busy time, LB time) shared by all PEs of a
-  :class:`~repro.simcluster.cluster.VirtualCluster`, with thin per-rank
-  views preserving the ``ProcessingElement`` API.  The cluster's hot paths
-  operate on the arrays directly; the views exist for compatibility with
-  code (and tests) that addresses individual PEs.
+The simulator keeps this state in :class:`PEStateArrays`: flat NumPy
+vectors (clock, busy time, LB time) shared by all PEs of a
+:class:`~repro.simcluster.cluster.VirtualCluster`, or ``(R, P)`` arrays
+for a replica batch.  :meth:`PEStateArrays.compute_phase` is the one
+implementation of the bulk-synchronous compute phase.  The standalone
+:class:`ProcessingElement` object serves the frozen per-PE reference
+implementation (:mod:`repro.runtime.reference`).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import numpy as np
 from repro.simcluster.clock import VirtualClock
 from repro.utils.validation import check_non_negative, check_positive, check_positive_int
 
-__all__ = ["PEStateArrays", "ProcessingElement", "ProcessingElementView"]
+__all__ = ["PEStateArrays", "ProcessingElement"]
 
 
 @dataclass
@@ -91,26 +88,6 @@ class ProcessingElement:
             self.lb_time += seconds
         return seconds
 
-    def utilization(self, *, since: float = 0.0, until: Optional[float] = None) -> float:
-        """Busy fraction of the window ``[since, until]`` (``until`` = now).
-
-        Note: the PE does not keep a full activity timeline, so this is the
-        lifetime utilization when the window covers the whole run; windowed
-        per-iteration utilization is computed by
-        :class:`repro.simcluster.tracing.ClusterTrace` from snapshots.
-        """
-        end = self.now if until is None else until
-        window = end - since
-        if window <= 0:
-            return 1.0
-        return min(1.0, self.busy_time / window)
-
-    def reset(self) -> None:
-        """Reset clock and accounting (used between experiment repetitions)."""
-        self.clock.reset()
-        self.busy_time = 0.0
-        self.lb_time = 0.0
-
 
 class PEStateArrays:
     """Flat per-PE state of a homogeneous virtual cluster.
@@ -125,8 +102,8 @@ class PEStateArrays:
     the replica-batched execution engine (:mod:`repro.batch`) updates all
     rows with single array operations.  :meth:`replica_view` hands out a
     plain ``(P,)``-shaped :class:`PEStateArrays` whose vectors are NumPy
-    *views* of one row, so per-replica code (LB charging, PE views, traces)
-    runs unchanged -- and bit-identically -- against the shared batch state.
+    *views* of one row, so per-replica code (LB charging, traces) runs
+    unchanged -- and bit-identically -- against the shared batch state.
     """
 
     __slots__ = ("clock", "busy_time", "lb_time", "speed", "replicas")
@@ -191,9 +168,23 @@ class PEStateArrays:
         """Common virtual time: the clock of the latest PE."""
         return float(self.clock.max())
 
-    def now_per_replica(self) -> np.ndarray:
-        """Per-replica common virtual time (batched state only)."""
-        return self.clock.max(axis=-1)
+    def compute_phase(
+        self, pe_times: np.ndarray, sync_cost: float
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Run one bulk-synchronous compute phase (Algorithm 1, line 10).
+
+        Every PE computes for ``pe_times`` seconds (busy time), then a
+        closing collective costing ``sync_cost`` aligns all clocks to the
+        latest PE.  Works on the last axis, so ``(P,)`` and ``(R, P)``
+        state share it; returns the per-replica ``(start, end)`` times
+        (NumPy scalars for plain state).
+        """
+        start = self.clock.max(-1)
+        self.clock += pe_times
+        self.busy_time += pe_times
+        end = self.clock.max(-1) + sync_cost
+        self.clock[...] = end[..., None]
+        return start, end
 
     def synchronize(self, extra_cost: float = 0.0) -> float:
         """Align every clock to the common maximum plus ``extra_cost``.
@@ -211,137 +202,3 @@ class PEStateArrays:
         target = float(self.clock.max()) + float(extra_cost)
         self.clock[:] = target
         return target
-
-    def reset(self) -> None:
-        """Zero all clocks and accounting."""
-        self.clock[:] = 0.0
-        self.busy_time[:] = 0.0
-        self.lb_time[:] = 0.0
-
-
-class _ClockView:
-    """Single-rank adapter exposing the :class:`VirtualClock` interface."""
-
-    __slots__ = ("_state", "_rank")
-
-    def __init__(self, state: PEStateArrays, rank: int) -> None:
-        self._state = state
-        self._rank = rank
-
-    @property
-    def now(self) -> float:
-        return float(self._state.clock[self._rank])
-
-    def advance(self, seconds: float) -> float:
-        if seconds < 0:
-            raise ValueError(f"cannot advance a clock by {seconds} s (negative)")
-        self._state.clock[self._rank] += float(seconds)
-        return self.now
-
-    def advance_to(self, timestamp: float) -> float:
-        if timestamp > self._state.clock[self._rank]:
-            self._state.clock[self._rank] = float(timestamp)
-        return self.now
-
-    def reset(self, timestamp: float = 0.0) -> None:
-        check_non_negative(timestamp, "timestamp")
-        self._state.clock[self._rank] = float(timestamp)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"_ClockView(rank={self._rank}, now={self.now:.6f})"
-
-
-class ProcessingElementView:
-    """Thin per-rank view over :class:`PEStateArrays`.
-
-    Implements the :class:`ProcessingElement` interface (clock, speed,
-    busy/LB accounting, ``compute``/``spend``/``utilization``/``reset``) by
-    reading and writing one slot of the shared state arrays, so code written
-    against individual PEs keeps working against the vectorized cluster.
-    """
-
-    __slots__ = ("rank", "_state", "_clock")
-
-    def __init__(self, state: PEStateArrays, rank: int) -> None:
-        if not 0 <= rank < state.size:
-            raise ValueError(f"rank {rank} outside [0, {state.size})")
-        self.rank = rank
-        self._state = state
-        self._clock = _ClockView(state, rank)
-
-    # ------------------------------------------------------------------
-    @property
-    def speed(self) -> float:
-        """Compute speed in FLOP per second (paper: ``omega``)."""
-        return self._state.speed
-
-    @property
-    def clock(self) -> _ClockView:
-        """The PE's virtual clock (a view into the cluster state)."""
-        return self._clock
-
-    @property
-    def now(self) -> float:
-        """Current virtual time of this PE."""
-        return float(self._state.clock[self.rank])
-
-    @property
-    def busy_time(self) -> float:
-        """Cumulative virtual seconds spent computing."""
-        return float(self._state.busy_time[self.rank])
-
-    @busy_time.setter
-    def busy_time(self, value: float) -> None:
-        check_non_negative(value, "busy_time")
-        self._state.busy_time[self.rank] = float(value)
-
-    @property
-    def lb_time(self) -> float:
-        """Cumulative virtual seconds spent in load-balancing steps."""
-        return float(self._state.lb_time[self.rank])
-
-    @lb_time.setter
-    def lb_time(self, value: float) -> None:
-        check_non_negative(value, "lb_time")
-        self._state.lb_time[self.rank] = float(value)
-
-    # ------------------------------------------------------------------
-    def compute(self, flops: float) -> float:
-        """Execute ``flops`` FLOP of work; returns the elapsed virtual seconds."""
-        if flops < 0:
-            raise ValueError(f"flops must be >= 0, got {flops}")
-        elapsed = flops / self._state.speed
-        self._state.clock[self.rank] += elapsed
-        self._state.busy_time[self.rank] += elapsed
-        return elapsed
-
-    def spend(self, seconds: float, *, busy: bool = False, lb: bool = False) -> float:
-        """Advance the clock by ``seconds`` of non-compute activity."""
-        if seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
-        self._state.clock[self.rank] += float(seconds)
-        if busy:
-            self._state.busy_time[self.rank] += float(seconds)
-        if lb:
-            self._state.lb_time[self.rank] += float(seconds)
-        return seconds
-
-    def utilization(self, *, since: float = 0.0, until: Optional[float] = None) -> float:
-        """Busy fraction of the window ``[since, until]`` (``until`` = now)."""
-        end = self.now if until is None else until
-        window = end - since
-        if window <= 0:
-            return 1.0
-        return min(1.0, self.busy_time / window)
-
-    def reset(self) -> None:
-        """Reset this PE's clock and accounting slots."""
-        self._state.clock[self.rank] = 0.0
-        self._state.busy_time[self.rank] = 0.0
-        self._state.lb_time[self.rank] = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"ProcessingElementView(rank={self.rank}, now={self.now:.6f}, "
-            f"busy={self.busy_time:.6f})"
-        )

@@ -169,6 +169,25 @@ class TestDrivers:
         assert sorted(f.rule for f in findings) == ["DET001", "FLOW-HOT"]
         assert len(parses) == 3
 
+    def test_overlapping_paths_lint_each_file_once(self, tmp_path):
+        pkg = tmp_path / "repro"
+        (pkg / "batch").mkdir(parents=True)
+        (pkg / "batch" / "helpers.py").write_text(
+            "import numpy as np\n\ndef helper():\n    return np.zeros(3)\n"
+        )
+        (pkg / "batch" / "runner.py").write_text(
+            "from repro.batch.helpers import helper\n"
+            "\n"
+            "class BatchRunner:\n"
+            "    def run(self, iterations):\n"
+            "        for iteration in range(iterations):\n"
+            "            helper()\n"
+        )
+        alone = lint_paths([pkg])
+        overlapping = lint_paths([pkg, pkg / "batch" / "helpers.py"])
+        assert [f.rule for f in alone] == ["FLOW-HOT"]
+        assert overlapping == alone
+
     def test_unreadable_file_becomes_syn001_not_a_skip(self, tmp_path):
         # A directory named like a module matches the *.py walk but raises
         # OSError on read; lint must not pass a file it never read.

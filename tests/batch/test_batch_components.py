@@ -58,13 +58,6 @@ class TestBatchedPEState:
         with pytest.raises(ValueError, match="outside"):
             PEStateArrays(4, 1.0e9, replicas=2).replica_view(2)
 
-    def test_now_per_replica(self):
-        state = PEStateArrays(2, 1.0e9, replicas=2)
-        state.clock[0, 1] = 3.0
-        state.clock[1, 0] = 1.0
-        assert state.now_per_replica().tolist() == [3.0, 1.0]
-        assert state.now() == 3.0
-
 
 class TestBatchGossipBoard:
     @pytest.mark.parametrize("as_generator", [False, True])

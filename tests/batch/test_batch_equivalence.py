@@ -109,13 +109,6 @@ class TestBatchVsLoop:
             solo, cluster = run_solo(seed, policy_name, use_gossip)
             assert_replica_equals_solo(solo, cluster, batch.replicas[r], runner.state, r)
 
-    def test_comm_counters_match_solo(self):
-        batch, runner = run_batched("ulba", True)
-        for r, seed in enumerate(SEEDS):
-            _, cluster = run_solo(seed, "ulba", True)
-            assert runner.clusters[r].comm.num_collectives == cluster.comm.num_collectives
-            assert runner.clusters[r].comm.comm_time == cluster.comm.comm_time
-
 
 class TestSessionRunBatch:
     CFG = RunConfig(

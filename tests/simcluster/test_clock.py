@@ -45,17 +45,6 @@ class TestVirtualClock:
         clock.advance_to(2.0)
         assert clock.now == 5.0
 
-    def test_reset(self):
-        clock = VirtualClock(5.0)
-        clock.reset()
-        assert clock.now == 0.0
-        clock.reset(2.0)
-        assert clock.now == 2.0
-
-    def test_reset_negative_rejected(self):
-        with pytest.raises(ValueError):
-            VirtualClock().reset(-1.0)
-
     @given(steps=st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=50))
     def test_property_monotone(self, steps):
         clock = VirtualClock()

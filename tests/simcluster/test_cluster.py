@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.simcluster.cluster import StepResult, VirtualCluster
 from repro.simcluster.comm import CommCostModel
+from repro.simcluster.pe import PEStateArrays
 
 
 class TestConstruction:
@@ -17,7 +18,8 @@ class TestConstruction:
         assert cluster.size == 4
         assert cluster.pe_speed == 2.0e9
         assert cluster.now == 0.0
-        assert [pe.rank for pe in cluster.pes] == [0, 1, 2, 3]
+        assert cluster.state.clock.shape == (4,)
+        assert cluster.cost_model == CommCostModel()
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -76,7 +78,7 @@ class TestComputeStep:
     def test_busy_times(self):
         cluster = VirtualCluster(2, pe_speed=1.0e9, cost_model=CommCostModel.free())
         cluster.compute_step([1.0e9, 3.0e9])
-        assert np.allclose(cluster.busy_times(), [1.0, 3.0])
+        assert np.allclose(cluster.state.busy_time, [1.0, 3.0])
 
     @given(
         loads=st.lists(
@@ -108,7 +110,8 @@ class TestChargeLBStep:
     def test_lb_time_charged_to_every_pe(self):
         cluster = VirtualCluster(3)
         cost = cluster.charge_lb_step(iteration=0, partition_seconds=0.01)
-        assert all(pe.lb_time == pytest.approx(cost) for pe in cluster.pes)
+        assert np.allclose(cluster.state.lb_time, cost)
+        assert cluster.state.lb_time.shape == (3,)
 
     def test_scalar_migration_volume(self):
         cluster = VirtualCluster(2, cost_model=CommCostModel(latency=0.0, bandwidth=1.0e6))
@@ -145,26 +148,6 @@ class TestChargeLBStep:
         assert run(1.0e9) > run(1.0e3)
 
 
-class TestSynchronizeAndReset:
-    def test_synchronize(self):
-        cluster = VirtualCluster(3, cost_model=CommCostModel.free())
-        cluster.pes[1].compute(5.0e9)
-        stamp = cluster.synchronize()
-        assert stamp == pytest.approx(5.0)
-        assert cluster.now == pytest.approx(5.0)
-
-    def test_reset_clears_everything(self):
-        cluster = VirtualCluster(2)
-        cluster.compute_step([1.0e9, 2.0e9], iteration=0)
-        cluster.charge_lb_step(iteration=0)
-        cluster.reset()
-        assert cluster.now == 0.0
-        assert cluster.trace.num_iterations == 0
-        assert cluster.trace.num_lb_calls == 0
-        assert cluster.comm.num_collectives == 0
-        assert all(pe.busy_time == 0.0 for pe in cluster.pes)
-
-
 class TestArrayStateBacking:
     def test_compute_step_accepts_ndarray_without_copy(self):
         cluster = VirtualCluster(3, pe_speed=1.0e9, cost_model=CommCostModel.free())
@@ -181,17 +164,53 @@ class TestArrayStateBacking:
         assert cost >= 2.0
         assert volumes.tolist() == [0.0, 2.0e6, 1.0e6]
 
-    def test_pe_views_share_cluster_state(self):
-        cluster = VirtualCluster(2, pe_speed=1.0e9, cost_model=CommCostModel.free())
-        cluster.pes[0].compute(2.0e9)
-        assert cluster.state.busy_time[0] == pytest.approx(2.0)
-        assert cluster.pes[0].busy_time == pytest.approx(2.0)
-        cluster.state.clock[:] = 5.0
-        assert cluster.pes[1].now == pytest.approx(5.0)
 
-    def test_view_setters_write_through(self):
-        cluster = VirtualCluster(2)
-        cluster.pes[1].lb_time = 4.5
-        assert cluster.state.lb_time[1] == pytest.approx(4.5)
-        with pytest.raises(ValueError):
-            cluster.pes[1].lb_time = -1.0
+class TestComputePhase:
+    """``PEStateArrays.compute_phase`` is the one compute step: the batch
+    engine runs it on ``(R, P)`` state, ``VirtualCluster.compute_step`` on
+    the cluster's own ``(P,)`` state."""
+
+    @given(
+        replicas=st.integers(min_value=1, max_value=5),
+        num_pes=st.integers(min_value=1, max_value=9),
+        sync_cost=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_property_batched_phase_equals_solo_phases_and_compute_step(
+        self, replicas, num_pes, sync_cost, seed
+    ):
+        rng = np.random.default_rng(seed)
+        speed = 1.0e9
+        clock = rng.random((replicas, num_pes)) * 10.0
+        busy = rng.random((replicas, num_pes))
+        loads = rng.random((replicas, num_pes)) * 5.0e9
+        pe_times = loads / speed
+
+        batch = PEStateArrays(num_pes, speed, replicas=replicas)
+        batch.clock[:] = clock
+        batch.busy_time[:] = busy
+        start, end = batch.compute_phase(pe_times, sync_cost)
+        for r in range(replicas):
+            solo = PEStateArrays(num_pes, speed)
+            solo.clock[:] = clock[r]
+            solo.busy_time[:] = busy[r]
+            solo_start, solo_end = solo.compute_phase(pe_times[r], sync_cost)
+            assert solo_start == start[r] and solo_end == end[r]
+            assert np.array_equal(solo.clock, batch.clock[r])
+            assert np.array_equal(solo.busy_time, batch.busy_time[r])
+
+        # compute_step leaves what compute_phase on a batch-of-one view does.
+        cost_model = CommCostModel(latency=sync_cost, bandwidth=1.0e9)
+        cluster = VirtualCluster(num_pes, pe_speed=speed, cost_model=cost_model)
+        twin = PEStateArrays(num_pes, speed)
+        for state in (cluster.state, twin):
+            state.clock[:] = clock[0]
+            state.busy_time[:] = busy[0]
+        step = cluster.compute_step(loads[0])
+        cost = cost_model.collective(num_pes, 8.0)
+        twin_start, twin_end = twin.batch_of_one().compute_phase(pe_times[:1], cost)
+        assert step.completed_at == twin_end[0]
+        assert step.elapsed == twin_end[0] - twin_start[0]
+        assert step.pe_times == tuple(pe_times[0].tolist())
+        assert np.array_equal(cluster.state.clock, twin.clock)
+        assert np.array_equal(cluster.state.busy_time, twin.busy_time)

@@ -1,4 +1,4 @@
-"""Tests of :mod:`repro.simcluster.comm` (cost model and collectives)."""
+"""Tests of :mod:`repro.simcluster.comm` (cost model and the bcast/gather collectives)."""
 
 from __future__ import annotations
 
@@ -72,26 +72,12 @@ class TestSimCommunicatorConstruction:
             SimCommunicator([])
 
     def test_size_and_pe_access(self):
-        comm, pes = make_comm(3)
-        assert comm.size == 3
-        assert comm.pe(2) is pes[2]
-        assert comm.pes == pes
-
-    def test_invalid_rank_access(self):
         comm, _ = make_comm(3)
-        with pytest.raises(ValueError):
-            comm.pe(3)
+        assert comm.size == 3
+        assert comm.cost_model == CommCostModel()
 
 
 class TestCollectives:
-    def test_barrier_synchronises(self):
-        comm, pes = make_comm(3, CommCostModel.free())
-        pes[0].compute(3.0e9)  # 3 seconds
-        pes[1].compute(1.0e9)
-        stamp = comm.barrier()
-        assert stamp == pytest.approx(3.0)
-        assert all(pe.now == pytest.approx(3.0) for pe in pes)
-
     def test_bcast_value_and_sync(self):
         comm, pes = make_comm(4)
         out = comm.bcast({"x": 1}, root=0)
@@ -114,41 +100,6 @@ class TestCollectives:
         with pytest.raises(ValueError):
             comm.gather([1, 2], root=0)
 
-    def test_allgather(self):
-        comm, _ = make_comm(3)
-        out = comm.allgather(["a", "b", "c"])
-        assert out == [["a", "b", "c"]] * 3
-
-    def test_scatter(self):
-        comm, _ = make_comm(3)
-        assert comm.scatter([7, 8, 9], root=0) == [7, 8, 9]
-
-    def test_allreduce_sum(self):
-        comm, _ = make_comm(4)
-        assert comm.allreduce([1.0, 2.0, 3.0, 4.0]) == [10.0] * 4
-
-    def test_allreduce_custom_op(self):
-        comm, _ = make_comm(3)
-        assert comm.allreduce([5.0, 2.0, 9.0], op=max) == [9.0] * 3
-
-    def test_reduce(self):
-        comm, _ = make_comm(3)
-        out = comm.reduce([1.0, 2.0, 3.0], root=2)
-        assert out == [None, None, 6.0]
-
-    def test_alltoall(self):
-        comm, _ = make_comm(3)
-        matrix = [[f"{src}->{dst}" for dst in range(3)] for src in range(3)]
-        out = comm.alltoall(matrix)
-        for dst in range(3):
-            for src in range(3):
-                assert out[dst][src] == f"{src}->{dst}"
-
-    def test_alltoall_row_length_validated(self):
-        comm, _ = make_comm(3)
-        with pytest.raises(ValueError):
-            comm.alltoall([[1, 2], [1, 2, 3], [1, 2, 3]])
-
     def test_collectives_charge_cost(self):
         cost_model = CommCostModel(latency=1e-3, bandwidth=1e9)
         comm, pes = make_comm(4, cost_model)
@@ -157,43 +108,11 @@ class TestCollectives:
         # log2(4) = 2 rounds of latency.
         assert pes[0].now - before == pytest.approx(2e-3)
 
-    def test_diagnostics_counters(self):
-        comm, _ = make_comm(4)
-        comm.barrier()
-        comm.bcast(1)
-        comm.allgather([1, 2, 3, 4])
-        assert comm.num_collectives == 3
-        assert comm.comm_time > 0.0
-
     def test_collective_is_barrier(self):
         """Every collective synchronises all clocks (bulk-synchronous model)."""
         comm, pes = make_comm(4)
         pes[2].compute(5.0e9)
-        comm.allgather([0, 0, 0, 0])
+        comm.gather([0, 0, 0, 0], root=1)
         times = {round(pe.now, 12) for pe in pes}
         assert len(times) == 1
         assert pes[0].now >= 5.0
-
-
-class TestPointToPoint:
-    def test_send_recv_costs_and_ordering(self):
-        cost_model = CommCostModel(latency=1e-3, bandwidth=1e12)
-        comm, pes = make_comm(2, cost_model)
-        cost = comm.send_recv(0, 1, nbytes=0.0)
-        assert cost == pytest.approx(1e-3)
-        assert pes[0].now == pytest.approx(1e-3)
-        assert pes[1].now >= pes[0].now - 1e-15
-        assert comm.num_messages == 1
-
-    def test_receiver_waits_for_late_sender(self):
-        comm, pes = make_comm(2, CommCostModel(latency=1.0, bandwidth=1e12))
-        pes[0].compute(5.0e9)  # sender is at t=5
-        comm.send_recv(0, 1)
-        assert pes[1].now >= 6.0 - 1e-9
-
-    def test_invalid_ranks(self):
-        comm, _ = make_comm(2)
-        with pytest.raises(ValueError):
-            comm.send_recv(0, 5)
-        with pytest.raises(ValueError):
-            comm.send_recv(-1, 0)

@@ -51,36 +51,6 @@ class TestProcessingElement:
         with pytest.raises(ValueError):
             ProcessingElement(rank=0, speed=0.0)
 
-    def test_utilization_fully_busy(self):
-        pe = ProcessingElement(rank=0, speed=1.0)
-        pe.compute(4.0)
-        assert pe.utilization() == pytest.approx(1.0)
-
-    def test_utilization_half_busy(self):
-        pe = ProcessingElement(rank=0, speed=1.0)
-        pe.compute(2.0)
-        pe.spend(2.0)
-        assert pe.utilization() == pytest.approx(0.5)
-
-    def test_utilization_window(self):
-        pe = ProcessingElement(rank=0, speed=1.0)
-        pe.compute(2.0)
-        pe.spend(6.0)
-        assert pe.utilization(since=0.0, until=4.0) == pytest.approx(0.5)
-
-    def test_utilization_empty_window(self):
-        pe = ProcessingElement(rank=0)
-        assert pe.utilization(since=5.0, until=5.0) == 1.0
-
-    def test_reset(self):
-        pe = ProcessingElement(rank=0, speed=1.0)
-        pe.compute(3.0)
-        pe.spend(1.0, lb=True)
-        pe.reset()
-        assert pe.now == 0.0
-        assert pe.busy_time == 0.0
-        assert pe.lb_time == 0.0
-
     @given(
         flops=st.lists(st.floats(min_value=0.0, max_value=1e9), max_size=30),
         speed=st.floats(min_value=1.0, max_value=1e12),
