@@ -75,30 +75,32 @@ def test_bench_supervised_overhead(tmp_path):
     """Arming every supervision guard costs <= 5% on a fault-free campaign.
 
     Both runs use the same jobs=2 pool dispatch; the guarded run adds a
-    per-batch deadline, a retry budget and the quarantine sidecar.  Best of
-    N wall times on each side keeps scheduler noise out of the ratio.
+    per-batch deadline, a retry budget and the quarantine sidecar.  Each
+    round times one bare run and then one guarded run, so host drift lands
+    on both sides; best of N wall times per side keeps scheduler noise out
+    of the ratio.
     """
     spec = _smoke_spec()
     rounds = 1 if SMOKE else 3
+    guards = {
+        "task_timeout": 300.0,
+        "retry": RetryPolicy(max_retries=3),
+        "quarantine": tmp_path / "bench.quarantine.jsonl",
+    }
 
-    def best(kwargs):
-        times = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            run = run_campaign(spec, jobs=2, **kwargs)
-            times.append(time.perf_counter() - start)
-            assert run.executed == spec.num_cells
-            assert run.clean
-        return min(times)
+    def timed(kwargs):
+        start = time.perf_counter()
+        run = run_campaign(spec, jobs=2, **kwargs)
+        elapsed = time.perf_counter() - start
+        assert run.executed == spec.num_cells
+        assert run.clean
+        return elapsed
 
-    bare = best({})
-    guarded = best(
-        {
-            "task_timeout": 300.0,
-            "retry": RetryPolicy(max_retries=3),
-            "quarantine": tmp_path / "bench.quarantine.jsonl",
-        }
-    )
+    bare_times, guarded_times = [], []
+    for _ in range(rounds):
+        bare_times.append(timed({}))
+        guarded_times.append(timed(guards))
+    bare, guarded = min(bare_times), min(guarded_times)
     ratio = guarded / bare
     record_bench(
         "campaign",

@@ -772,6 +772,10 @@ def run_campaign(
         # processes parallelize over the groups.
         batches = _seed_batches(pending)
         payloads: List[TaskPayload] = [(batch, worker_obs, chaos) for batch in batches]
+        # Imported here, not at module top, so ``import repro`` stays lean:
+        # fork workers then inherit the batch engine instead of each paying
+        # its import on the first seed-batch.
+        import repro.batch.runner  # noqa: F401
         pool = SupervisedPool(
             _supervised_batch_task,
             processes=min(jobs, len(batches)),

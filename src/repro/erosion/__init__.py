@@ -17,12 +17,13 @@ The paper evaluates ULBA on a synthetic parallel application that
 Modules
 -------
 * :mod:`repro.erosion.domain` -- the cell grid (types, per-cell workload
-  weights, erosion probabilities) and its column-wise workload accounting.
+  weights, erosion probabilities), its erodible rock frontier and its
+  column-wise workload accounting, both updated incrementally on erosion.
 * :mod:`repro.erosion.rocks` -- rock-disc placement and erodibility
   assignment matching the paper's setup (one disc per PE, uniformly spread
   along the x-axis, a configurable number of strongly erodible ones).
 * :mod:`repro.erosion.dynamics` -- the probabilistic erosion + refinement
-  step.
+  step over the frontier.
 * :mod:`repro.erosion.app` -- :class:`ErosionApplication`, the striped
   iterative application consumed by the runtime skeleton, plus the
   scaled-down configuration used by the Figure 4/5 reproductions.

@@ -2,9 +2,14 @@
 
 One application iteration performs:
 
-1. identify the rock cells in contact with fluid (the erodible interface);
-2. erode each of them independently with its rock's probability;
+1. take the rock cells in contact with fluid (the erodible frontier the
+   domain keeps, :attr:`~repro.erosion.domain.ErosionDomain.frontier`);
+2. erode each of them independently with its rock's probability, drawing
+   one uniform number per frontier cell in ascending flat-index (C) order;
 3. replace eroded cells by refined fluid (weight ``refinement_factor``).
+
+The domain updates its frontier, rock count and column loads from the
+eroded cells alone, so a step costs O(frontier), not O(grid).
 
 Strongly erodible rocks therefore disappear quickly and leave behind a dense
 patch of refined fluid -- the stripes covering them accumulate workload much
@@ -16,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from repro.erosion.domain import ErosionDomain
 from repro.utils.rng import SeedLike, ensure_rng
@@ -64,16 +67,13 @@ class ErosionDynamics:
     def advance(self) -> ErosionStepStats:
         """Perform one erosion + refinement step."""
         domain = self.domain
-        boundary = domain.boundary_rock_mask()
-        num_boundary = int(boundary.sum())
+        frontier = domain.frontier
+        num_boundary = int(frontier.size)
 
         if num_boundary:
-            probabilities = domain.erosion_probability[boundary]
+            probabilities = domain.erosion_probability.reshape(-1)[frontier]
             draws = self.rng.random(num_boundary)
-            eroded_local = draws < probabilities
-            erode_mask = np.zeros_like(boundary)
-            erode_mask[boundary] = eroded_local
-            eroded = domain.erode(erode_mask)
+            eroded = domain.erode_at(frontier[draws < probabilities])
         else:
             eroded = 0
 

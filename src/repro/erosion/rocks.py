@@ -10,6 +10,7 @@ erodible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,14 +54,22 @@ class RockDisc:
         return self.erosion_probability >= STRONG_EROSION_PROBABILITY
 
 
-def disc_mask(
+def disc_cells(
     domain: ErosionDomain, center: Tuple[float, float], radius: float
 ) -> np.ndarray:
-    """Boolean mask of the cells inside the disc of ``radius`` at ``center``."""
+    """Sorted flat indices of the cells inside the disc of ``radius`` at ``center``.
+
+    The disc expression is evaluated only on the column slab that covers
+    the disc's bounding box (padded by one column on each side); every
+    column outside it lies more than ``radius + 1`` away from the centre.
+    """
     check_positive(radius, "radius")
-    cols = np.arange(domain.width, dtype=float)[:, None]
+    first = max(0, math.floor(center[0] - radius) - 1)
+    stop = min(domain.width, math.ceil(center[0] + radius) + 2)
+    cols = np.arange(first, stop, dtype=float)[:, None]
     rows = np.arange(domain.height, dtype=float)[None, :]
-    return (cols - center[0]) ** 2 + (rows - center[1]) ** 2 <= radius**2
+    inside = (cols - center[0]) ** 2 + (rows - center[1]) ** 2 <= radius**2
+    return first * domain.height + np.flatnonzero(inside)
 
 
 def place_rocks(
@@ -137,8 +146,8 @@ def place_rocks(
         probability = (
             strong_probability if rock_id in strong_set else weak_probability
         )
-        mask = disc_mask(domain, (center_col, center_row), radius)
-        created = domain.set_rock(mask, probability, rock_id)
+        cells = disc_cells(domain, (center_col, center_row), radius)
+        created = domain.set_rock_at(cells, probability, rock_id)
         discs.append(
             RockDisc(
                 rock_id=rock_id,

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +223,37 @@ class TestParallelExecution:
         assert sorted(row["cell_id"] for row in seen) == sorted(
             cell.cell_id for cell in SPEC.cells()
         )
+
+
+    def test_parent_imports_batch_engine_before_forking(self):
+        """Fork workers inherit ``repro.batch.runner`` from the caller, so no
+        worker pays that import on its first seed-batch."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.campaign import CampaignSpec, PolicySpec, run_campaign
+
+            before = "repro.batch.runner" in sys.modules
+            spec = CampaignSpec(
+                scenarios=("synthetic-hotspot",),
+                policies=(PolicySpec("standard"),),
+                num_seeds=1, num_pes=4, columns_per_pe=8, rows=8, iterations=2,
+            )
+            run = run_campaign(spec, jobs=1)
+            print(run.executed, before, "repro.batch.runner" in sys.modules)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "False", "True"]
 
 
 class TestAggregation:

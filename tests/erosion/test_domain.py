@@ -16,6 +16,12 @@ def disc(domain, cx, cy, r):
     return (cols - cx) ** 2 + (rows - cy) ** 2 <= r**2
 
 
+def frontier_mask(domain):
+    mask = np.zeros(domain.shape, dtype=bool)
+    mask.reshape(-1)[domain.frontier] = True
+    return mask
+
+
 class TestConstruction:
     def test_starts_all_fluid(self):
         domain = ErosionDomain(8, 6)
@@ -124,24 +130,33 @@ class TestColumnLoads:
         domain.set_rock(disc(domain, 4, 4, 2), 0.4, 0)
         assert domain.column_loads().sum() == pytest.approx(domain.total_load)
 
-    def test_stripe_loads(self):
-        domain = ErosionDomain(8, 2)
-        stripe_loads = domain.stripe_loads((0, 4, 8))
-        assert np.allclose(stripe_loads, [8.0, 8.0])
+    def test_column_loads_is_a_copy(self):
+        domain = ErosionDomain(5, 4)
+        domain.column_loads()[:] = -1.0
+        assert np.allclose(domain.column_loads(), 4.0)
 
-    def test_stripe_loads_validation(self):
-        domain = ErosionDomain(8, 2)
-        with pytest.raises(ValueError):
-            domain.stripe_loads((0, 4))
-        with pytest.raises(ValueError):
-            domain.stripe_loads((1, 8))
+    def test_erode_updates_only_touched_columns(self):
+        domain = ErosionDomain(6, 5, refinement_factor=3.0)
+        mask = np.zeros((6, 5), dtype=bool)
+        mask[1:5, 1:4] = True
+        domain.set_rock(mask, 0.4, 0)
+        before = domain.column_loads()
+        erode = np.zeros((6, 5), dtype=bool)
+        erode[2, 1] = erode[2, 3] = True
+        domain.erode(erode)
+        after = domain.column_loads()
+        assert after[2] == before[2] + 6.0
+        assert np.array_equal(np.delete(after, 2), np.delete(before, 2))
+        assert np.array_equal(after, domain.weight.sum(axis=1))
 
 
 class TestBoundaryRockMask:
+    """The erodible frontier: rock cells with a fluid 4-neighbour."""
+
     def test_interior_rock_not_exposed(self):
         domain = ErosionDomain(10, 10)
         domain.set_rock(disc(domain, 5, 5, 3), 0.4, 0)
-        boundary = domain.boundary_rock_mask()
+        boundary = frontier_mask(domain)
         # The centre of the disc has rock neighbours on all four sides.
         assert not boundary[5, 5]
         # Boundary cells exist and are a strict subset of the rock.
@@ -152,22 +167,79 @@ class TestBoundaryRockMask:
     def test_domain_border_counts_as_fluid(self):
         domain = ErosionDomain(4, 4)
         domain.set_rock(np.ones((4, 4), dtype=bool), 0.4, 0)
-        boundary = domain.boundary_rock_mask()
+        boundary = frontier_mask(domain)
         # Only the outer ring touches the (implicit) outside fluid.
         assert boundary[0, 0] and boundary[3, 3] and boundary[0, 2]
         assert not boundary[1, 1] and not boundary[2, 2]
 
     def test_no_rock_no_boundary(self):
         domain = ErosionDomain(5, 5)
-        assert domain.boundary_rock_mask().sum() == 0
+        assert domain.frontier.size == 0
 
     def test_single_rock_cell_is_boundary(self):
         domain = ErosionDomain(5, 5)
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True
         domain.set_rock(mask, 0.4, 0)
-        assert domain.boundary_rock_mask()[2, 2]
+        assert domain.frontier.tolist() == [2 * 5 + 2]
 
+    def test_frontier_is_sorted_and_read_only(self):
+        domain = ErosionDomain(9, 7)
+        domain.set_rock(disc(domain, 4, 3, 3), 0.4, 0)
+        frontier = domain.frontier
+        assert frontier.dtype == np.int64
+        assert np.all(np.diff(frontier) > 0)
+        with pytest.raises(ValueError):
+            frontier[0] = 0
+
+    def test_eroding_an_interior_cell_exposes_its_neighbours(self):
+        domain = ErosionDomain(7, 7)
+        domain.set_rock(np.ones((7, 7), dtype=bool), 0.4, 0)
+        assert not frontier_mask(domain)[3, 3]
+        centre = np.zeros((7, 7), dtype=bool)
+        centre[3, 3] = True
+        assert domain.erode(centre) == 1
+        exposed = frontier_mask(domain)
+        assert exposed[2, 3] and exposed[4, 3] and exposed[3, 2] and exposed[3, 4]
+        assert not exposed[3, 3] and not exposed[2, 2]
+
+
+class TestIndexedMutations:
+    def test_set_rock_at_matches_mask_path(self):
+        by_mask, by_index = ErosionDomain(6, 5), ErosionDomain(6, 5)
+        mask = disc(by_mask, 2, 2, 2)
+        assert by_mask.set_rock(mask, 0.3, 4) == by_index.set_rock_at(
+            np.flatnonzero(mask), 0.3, 4
+        )
+        assert np.array_equal(by_mask.cell_type, by_index.cell_type)
+        assert np.array_equal(by_mask.rock_id, by_index.rock_id)
+        assert np.array_equal(by_mask.frontier, by_index.frontier)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            np.array([3, 1]),
+            np.array([1, 1]),
+            np.array([-1]),
+            np.array([30]),
+            np.array([[1]]),
+            np.array([True]),
+            np.array([1.0]),
+        ],
+        ids=["unsorted", "duplicate", "negative", "out-of-range", "2-d", "bool", "float"],
+    )
+    def test_bad_indices_rejected(self, indices):
+        domain = ErosionDomain(6, 5)
+        with pytest.raises(ValueError):
+            domain.set_rock_at(indices, 0.4, 0)
+        with pytest.raises(ValueError):
+            domain.erode_at(indices)
+
+    def test_empty_indices_are_a_no_op(self):
+        domain = ErosionDomain(6, 5)
+        assert domain.set_rock_at(np.array([], dtype=np.int64), 0.4, 0) == 0
+        assert domain.erode_at(np.array([], dtype=np.int64)) == 0
+        assert domain.num_rock_cells == 0
 
 class TestCopy:
     def test_copy_is_deep(self):
@@ -202,6 +274,5 @@ class TestCellAccountingInvariant:
         mask = disc(domain, rng.integers(0, width), rng.integers(0, height), radius)
         domain.set_rock(mask, 0.4, 0)
         assert domain.num_fluid_cells + domain.num_rock_cells == width * height
-        erode_mask = domain.boundary_rock_mask()
-        domain.erode(erode_mask)
+        domain.erode(frontier_mask(domain))
         assert domain.num_fluid_cells + domain.num_rock_cells == width * height

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.erosion.app import ErosionApplication, ErosionConfig
-from repro.erosion.domain import ErosionDomain
+from repro.erosion.domain import CellType, ErosionDomain
 from repro.erosion.dynamics import ErosionDynamics, ErosionStepStats
 
 
@@ -188,3 +188,172 @@ class TestErosionApplication:
         assert app.strong_rocks == []
         app.advance()  # no rock: a no-op step
         assert app.total_load() == pytest.approx(64.0)
+
+
+class GridOracle:
+    """The full-grid domain and erosion step that the frontier path replaced.
+
+    Every step rescans the whole grid: the boundary mask, the rock count,
+    the column loads and the total load.  Kept here as the oracle of the
+    incremental frontier bookkeeping in :class:`ErosionDomain`.
+    """
+
+    def __init__(self, width, height, *, refinement_factor, fluid_weight):
+        self.refinement_factor = refinement_factor
+        self.fluid_weight = fluid_weight
+        self.cell_type = np.full((width, height), CellType.FLUID, dtype=np.int8)
+        self.weight = np.full((width, height), fluid_weight, dtype=float)
+        self.erosion_probability = np.zeros((width, height), dtype=float)
+        self.rock_id = np.full((width, height), -1, dtype=np.int32)
+
+    def fluid_mask(self):
+        return self.cell_type == CellType.FLUID
+
+    def rock_mask(self):
+        return self.cell_type == CellType.ROCK
+
+    def set_rock(self, mask, probability, rock_id):
+        fresh = mask & self.fluid_mask()
+        self.cell_type[fresh] = CellType.ROCK
+        self.weight[fresh] = 0.0
+        self.erosion_probability[fresh] = probability
+        self.rock_id[fresh] = rock_id
+        return int(fresh.sum())
+
+    def erode(self, mask):
+        target = mask & self.rock_mask()
+        self.cell_type[target] = CellType.FLUID
+        self.weight[target] = self.refinement_factor * self.fluid_weight
+        self.erosion_probability[target] = 0.0
+        self.rock_id[target] = -1
+        return int(target.sum())
+
+    def boundary_rock_mask(self):
+        fluid = self.fluid_mask()
+        neighbour_fluid = np.zeros_like(fluid)
+        neighbour_fluid[1:, :] |= fluid[:-1, :]
+        neighbour_fluid[0, :] = True
+        neighbour_fluid[:-1, :] |= fluid[1:, :]
+        neighbour_fluid[-1, :] = True
+        neighbour_fluid[:, 1:] |= fluid[:, :-1]
+        neighbour_fluid[:, 0] = True
+        neighbour_fluid[:, :-1] |= fluid[:, 1:]
+        neighbour_fluid[:, -1] = True
+        return self.rock_mask() & neighbour_fluid
+
+    def advance(self, rng, step):
+        boundary = self.boundary_rock_mask()
+        num_boundary = int(boundary.sum())
+        if num_boundary:
+            probabilities = self.erosion_probability[boundary]
+            draws = rng.random(num_boundary)
+            erode_mask = np.zeros_like(boundary)
+            erode_mask[boundary] = draws < probabilities
+            eroded = self.erode(erode_mask)
+        else:
+            eroded = 0
+        return ErosionStepStats(
+            step=step,
+            boundary_cells=num_boundary,
+            eroded_cells=eroded,
+            total_load=float(self.weight.sum()),
+            remaining_rock_cells=int(self.rock_mask().sum()),
+        )
+
+    def copy(self):
+        clone = GridOracle(
+            *self.cell_type.shape,
+            refinement_factor=self.refinement_factor,
+            fluid_weight=self.fluid_weight,
+        )
+        for name in ("cell_type", "weight", "erosion_probability", "rock_id"):
+            setattr(clone, name, getattr(self, name).copy())
+        return clone
+
+
+CELL_ARRAYS = ("cell_type", "weight", "erosion_probability", "rock_id")
+
+
+def assert_same_domain(domain, oracle):
+    for name in CELL_ARRAYS:
+        ours, theirs = getattr(domain, name), getattr(oracle, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+        assert ours.tobytes() == theirs.tobytes(), name
+    assert domain.column_loads().tobytes() == oracle.weight.sum(axis=1).tobytes()
+    assert domain.total_load == float(oracle.weight.sum())
+    assert domain.num_rock_cells == int(oracle.rock_mask().sum())
+    assert np.array_equal(domain.frontier, np.flatnonzero(oracle.boundary_rock_mask()))
+
+
+@st.composite
+def erosion_runs(draw):
+    steps = draw(st.integers(1, 14))
+    optional_step = st.one_of(st.none(), st.integers(0, steps - 1))
+    return {
+        "width": draw(st.integers(1, 14)),
+        "height": draw(st.integers(1, 14)),
+        "fluid_weight": draw(st.sampled_from([1.0, 2.0, 0.7, 1.3])),
+        "refinement_factor": draw(st.sampled_from([4.0, 3.0, 2.5, 1.1, 4.7])),
+        "placements": draw(st.integers(1, 4)),
+        "layout_seed": draw(st.integers(0, 2**16)),
+        "seed": draw(st.integers(0, 2**16)),
+        "steps": steps,
+        "erode_step": draw(optional_step),
+        "copy_step": draw(optional_step),
+    }
+
+
+class TestFrontierDifferential:
+    """The frontier step against the full-grid oracle, bit for bit."""
+
+    @given(run=erosion_runs())
+    def test_property_frontier_step_matches_full_grid_step(self, run):
+        width, height = run["width"], run["height"]
+        weights = {
+            "fluid_weight": run["fluid_weight"],
+            "refinement_factor": run["refinement_factor"],
+        }
+        domain = ErosionDomain(width, height, **weights)
+        oracle = GridOracle(width, height, **weights)
+
+        layout = np.random.default_rng(run["layout_seed"])
+        cols = np.arange(width)[:, None]
+        rows = np.arange(height)[None, :]
+        for rock_id in range(run["placements"]):
+            if layout.random() < 0.5:
+                # A disc whose centre may lie on or beyond the border.
+                cx = layout.uniform(-2.0, width + 1.0)
+                cy = layout.uniform(-2.0, height + 1.0)
+                radius = layout.uniform(0.5, 6.0)
+                mask = (cols - cx) ** 2 + (rows - cy) ** 2 <= radius**2
+            else:
+                mask = layout.random((width, height)) < layout.uniform(0.1, 0.9)
+            probability = float(layout.choice([0.0, 1.0, layout.uniform()]))
+            assert domain.set_rock(mask, probability, rock_id) == oracle.set_rock(
+                mask, probability, rock_id
+            )
+        assert_same_domain(domain, oracle)
+
+        dynamics = ErosionDynamics(domain, seed=np.random.default_rng(run["seed"]))
+        oracle_rng = np.random.default_rng(run["seed"])
+        original = snapshot = None
+        for step in range(run["steps"]):
+            if step == run["erode_step"]:
+                # Interior rock, frontier rock and fluid cells alike.
+                mask = layout.random((width, height)) < 0.3
+                assert dynamics.domain.erode(mask) == oracle.erode(mask)
+            if step == run["copy_step"]:
+                original = dynamics.domain
+                snapshot = {name: getattr(original, name).copy() for name in CELL_ARRAYS}
+                clone = original.copy()
+                oracle = oracle.copy()
+                dynamics = ErosionDynamics(clone, seed=dynamics.rng)
+            expected = oracle.advance(oracle_rng, dynamics.step_count)
+            assert dynamics.advance() == expected
+            assert_same_domain(dynamics.domain, oracle)
+
+        assert dynamics.rng.bit_generator.state == oracle_rng.bit_generator.state
+        if original is not None:
+            # The copy is deep: stepping it left the original untouched.
+            for name, before in snapshot.items():
+                assert np.array_equal(getattr(original, name), before)

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.erosion.domain import ErosionDomain
 from repro.erosion.rocks import (
     STRONG_EROSION_PROBABILITY,
     WEAK_EROSION_PROBABILITY,
     RockDisc,
-    disc_mask,
+    disc_cells,
     place_rocks,
 )
 
@@ -24,7 +26,8 @@ class TestPaperConstants:
 class TestDiscMask:
     def test_mask_radius(self):
         domain = ErosionDomain(20, 20)
-        mask = disc_mask(domain, (10.0, 10.0), 3.0)
+        mask = np.zeros(domain.shape, dtype=bool)
+        mask.reshape(-1)[disc_cells(domain, (10.0, 10.0), 3.0)] = True
         assert mask[10, 10]
         assert mask[13, 10] and mask[10, 13]
         assert not mask[14, 10]
@@ -34,8 +37,12 @@ class TestDiscMask:
     def test_invalid_radius(self):
         domain = ErosionDomain(4, 4)
         with pytest.raises(ValueError):
-            disc_mask(domain, (2.0, 2.0), 0.0)
+            disc_cells(domain, (2.0, 2.0), 0.0)
 
+    def test_disc_beyond_the_domain_has_no_cells(self):
+        domain = ErosionDomain(6, 6)
+        assert disc_cells(domain, (-9.0, 3.0), 2.0).size == 0
+        assert disc_cells(domain, (20.0, 3.0), 2.0).size == 0
 
 class TestPlaceRocks:
     def test_one_disc_per_stripe(self):
@@ -125,3 +132,59 @@ class TestPlaceRocks:
             erosion_probability=0.02, num_cells=12,
         )
         assert not weak.is_strong
+
+
+def full_grid_placement(domain, num_rocks, radius, strong_set):
+    """The placement ``place_rocks`` replaced: one full-grid mask per disc."""
+    if radius is None:
+        radius = max(1.0, domain.height / 4.0)
+    stripe_width = domain.width / num_rocks
+    center_row = (domain.height - 1) / 2.0
+    cols = np.arange(domain.width, dtype=float)[:, None]
+    rows = np.arange(domain.height, dtype=float)[None, :]
+    created = []
+    for rock_id in range(num_rocks):
+        center_col = (rock_id + 0.5) * stripe_width - 0.5
+        probability = (
+            STRONG_EROSION_PROBABILITY if rock_id in strong_set
+            else WEAK_EROSION_PROBABILITY
+        )
+        mask = (cols - center_col) ** 2 + (rows - center_row) ** 2 <= radius**2
+        created.append(domain.set_rock(mask, probability, rock_id))
+    return created
+
+
+class TestSlabPlacement:
+    @given(
+        width=st.integers(1, 80),
+        height=st.integers(1, 40),
+        rocks=st.integers(1, 12),
+        radius=st.one_of(
+            st.none(),
+            st.integers(1, 30),
+            st.floats(0.05, 30.0, allow_nan=False, allow_infinity=False),
+        ),
+        strong=st.sets(st.integers(0, 11)),
+    )
+    def test_property_slab_placement_matches_full_grid(
+        self, width, height, rocks, radius, strong
+    ):
+        """Covers discs clipped by every domain edge and overlapping discs
+        (radius above half the stripe width keep the first disc's cells)."""
+        rocks = min(rocks, width)
+        strong = sorted(i for i in strong if i < rocks)
+        slab = ErosionDomain(width, height)
+        grid = ErosionDomain(width, height)
+        discs = place_rocks(slab, rocks, radius=radius, strong_indices=strong)
+        created = full_grid_placement(grid, rocks, radius, set(strong))
+        assert [d.num_cells for d in discs] == created
+        for name in ("cell_type", "weight", "erosion_probability", "rock_id"):
+            assert getattr(slab, name).tobytes() == getattr(grid, name).tobytes()
+
+    def test_overlapping_discs_keep_the_first_id(self):
+        domain = ErosionDomain(16, 16)
+        discs = place_rocks(domain, 4, radius=6.0, strong_indices=())
+        # Stripes are 4 columns wide, so neighbouring discs overlap and the
+        # later disc gets fewer cells than the first.
+        assert discs[1].num_cells < discs[0].num_cells
+        assert domain.rock_id[5, 8] == 0
