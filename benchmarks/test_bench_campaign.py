@@ -76,12 +76,12 @@ def test_bench_supervised_overhead(tmp_path):
 
     Both runs use the same jobs=2 pool dispatch; the guarded run adds a
     per-batch deadline, a retry budget and the quarantine sidecar.  Each
-    round times one bare run and then one guarded run, so host drift lands
-    on both sides; best of N wall times per side keeps scheduler noise out
-    of the ratio.
+    round times one bare and one guarded run, alternating which side runs
+    first, so host drift and warm-up land on both sides alike; best of N
+    wall times per side keeps scheduler noise out of the ratio.
     """
     spec = _smoke_spec()
-    rounds = 1 if SMOKE else 3
+    rounds = 1 if SMOKE else 5
     guards = {
         "task_timeout": 300.0,
         "retry": RetryPolicy(max_retries=3),
@@ -97,9 +97,13 @@ def test_bench_supervised_overhead(tmp_path):
         return elapsed
 
     bare_times, guarded_times = [], []
-    for _ in range(rounds):
-        bare_times.append(timed({}))
-        guarded_times.append(timed(guards))
+    for round_index in range(rounds):
+        if round_index % 2:
+            guarded_times.append(timed(guards))
+            bare_times.append(timed({}))
+        else:
+            bare_times.append(timed({}))
+            guarded_times.append(timed(guards))
     bare, guarded = min(bare_times), min(guarded_times)
     ratio = guarded / bare
     record_bench(

@@ -17,7 +17,7 @@ depends on:
   gossip dissemination, utilization traces) replacing the paper's physical
   MPI cluster.
 * :mod:`repro.partitioning` -- weighted 1-D/stripe partitioning (the paper's
-  centralized LB technique), plus RCB and Morton-SFC baselines.
+  centralized LB technique).
 * :mod:`repro.lb` -- the load-balancing framework: WIR estimation and the
   replicated WIR database, the z-score overload detector, the standard and
   ULBA workload policies, adaptive trigger policies (periodic, Menon,

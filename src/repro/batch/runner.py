@@ -304,7 +304,7 @@ class BatchRunner:
             num_pes, smoothing=self._wir_smoothing, replicas=replicas
         )
         #: Vectorized degradation accumulation (elementwise bit-identical to
-        #: R scalar trackers; see BatchDegradationTracker).
+        #: R reference trackers; see BatchDegradationTracker).
         self.degradation = BatchDegradationTracker(replicas)
         # The degradation-trigger family admits a vectorized decision path:
         # `degradation >= margin * avg_cost` is a necessary condition for
@@ -460,20 +460,16 @@ class BatchRunner:
         entries of rank 0's compacted view.
         """
         trigger = self.trigger_policies[replica]
-        P = self.num_pes
         n = trigger.detector.overloading_count(
             self.wir_db.replica(replica).known_values(0)
         )
-        if not 0 < n < P:
-            return base
         workloads = stripe_loads * self.applications[replica].flop_per_load_unit
-        return base + (
-            trigger.alpha
-            * n
-            / (P - n)
+        return base + trigger.overhead(
+            n,
+            self.num_pes,
             # repro: noqa[FLOW-HOT] -- sequential Python-float sum is bit-identical to ULBADegradationTrigger's tuple sum; np.sum's pairwise summation rounds differently
-            * sum(workloads.tolist())
-            / (self.state.speed * P)
+            sum(workloads.tolist()),
+            self.state.speed,
         )
 
     # ------------------------------------------------------------------

@@ -145,8 +145,8 @@ class CentralizedLoadBalancer:
                 )
             old_owners = current_partition.partition.owners()
             new_owners = new_partition.partition.owners()
-            # The migration volume (the sum metrics.migration_volume
-            # computes) and its per-PE split: load of the columns a PE sends
+            # The migration volume (load of every column that changes owner)
+            # and its per-PE split: load of the columns a PE sends
             # plus the load of the columns it receives (both cross its NIC).
             moved = old_owners != new_owners
             moved_loads = loads[moved]

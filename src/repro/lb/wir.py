@@ -566,7 +566,9 @@ class OverloadDetector:
         else:  # one shared row
             starts = np.zeros_like(counts)
         flags = np.zeros(counts.size, dtype=bool)
-        for width in np.unique(counts[eligible]):
+        # The distinct widths, ascending; np.unique would import numpy.ma
+        # on the first ULBA decision of every process.
+        for width in np.flatnonzero(np.bincount(counts[eligible])):
             members = np.flatnonzero(eligible & (counts == width))
             block = values[starts[members, None] + np.arange(width)]
             flags[members] = self._group_flags(block, own[members])

@@ -12,13 +12,10 @@ ULBA simply changing the *target weights* of the stripes.
   per-partition target fractions.
 * :mod:`repro.partitioning.stripe` -- the stripe decomposition of a 2-D
   domain and the Algorithm 2 weight computation from per-PE ``alpha`` values.
-* :mod:`repro.partitioning.rcb` -- recursive coordinate bisection, one of
-  the classical geometric partitioners cited in the introduction; provided
-  as an alternative LB technique for the framework.
-* :mod:`repro.partitioning.sfc` -- Morton space-filling-curve partitioning,
-  the other classical family cited in the introduction.
-* :mod:`repro.partitioning.metrics` -- partition-quality metrics (imbalance,
-  migration volume between two partitions).
+
+Stripes are the only decomposition the paper uses, so they are the only one
+shipped: the engine runs :class:`StripePartitioner` on top of
+:func:`partition_contiguous` and nothing else.
 """
 
 from repro.partitioning.weighted import (
@@ -27,25 +24,11 @@ from repro.partitioning.weighted import (
     target_shares_from_alphas,
 )
 from repro.partitioning.stripe import StripePartition, StripePartitioner
-from repro.partitioning.rcb import RCBPartitioner, RCBRegion
-from repro.partitioning.sfc import MortonPartitioner, morton_key
-from repro.partitioning.metrics import (
-    migration_volume,
-    partition_imbalance,
-    partition_loads,
-)
 
 __all__ = [
-    "MortonPartitioner",
     "Partition1D",
-    "RCBPartitioner",
-    "RCBRegion",
     "StripePartition",
     "StripePartitioner",
-    "migration_volume",
-    "morton_key",
     "partition_contiguous",
-    "partition_imbalance",
-    "partition_loads",
     "target_shares_from_alphas",
 ]

@@ -16,7 +16,8 @@ and executes the iterative skeleton of Algorithm 1:
 
 Modules
 -------
-* :mod:`repro.runtime.degradation` -- the Zhai-style degradation tracker.
+* :mod:`repro.runtime.degradation` -- the Zhai-style degradation tracker,
+  vectorized over replicas.
 * :mod:`repro.runtime.skeleton` -- the :class:`IterativeRunner` driver and
   the :class:`StripedApplication` protocol.
 * :mod:`repro.runtime.synthetic` -- a deterministic synthetic application
@@ -26,13 +27,11 @@ Modules
   kept as the golden-equivalence reference and benchmark baseline.
 """
 
-from repro.runtime.degradation import DegradationTracker
 from repro.runtime.skeleton import IterativeRunner, RunResult, StripedApplication
 from repro.runtime.synthetic import SyntheticGrowthApplication
 from repro.runtime.report import PolicyComparison, compare_runs
 
 __all__ = [
-    "DegradationTracker",
     "IterativeRunner",
     "PolicyComparison",
     "RunResult",

@@ -11,13 +11,12 @@ complete file, never a torn intermediate.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
 from typing import Union
 
-__all__ = ["atomic_write_json", "atomic_write_text"]
+__all__ = ["atomic_write_text"]
 
 
 def atomic_write_text(
@@ -48,13 +47,3 @@ def atomic_write_text(
             pass
         raise
     return path
-
-
-def atomic_write_json(
-    path: Union[str, Path], payload: object, *, indent: int = 2
-) -> Path:
-    """Atomically replace ``path`` with ``payload`` serialized as JSON.
-
-    A trailing newline is appended (artifact files are line-tool friendly).
-    """
-    return atomic_write_text(path, json.dumps(payload, indent=indent) + "\n")

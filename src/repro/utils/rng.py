@@ -11,16 +11,14 @@ a reproducible SPMD simulation.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, TypeVar, Union
+from typing import Union
 
 import numpy as np
 
-__all__ = ["SeedLike", "ensure_rng", "derive_rng", "spawn_rngs"]
+__all__ = ["SeedLike", "ensure_rng", "derive_rng"]
 
 #: Accepted ways of specifying a source of randomness.
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
-
-T = TypeVar("T")
 
 
 def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -70,41 +68,3 @@ def derive_rng(rng: np.random.Generator, *keys: int) -> np.random.Generator:
         spawn_key=tuple(parent_ss.spawn_key) + tuple(int(k) for k in keys),
     )
     return np.random.default_rng(child)
-
-
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Create ``count`` independent generators from a single seed."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    base = ensure_rng(seed)
-    return [derive_rng(base, i) for i in range(count)]
-
-
-def sample_from(
-    rng: np.random.Generator, values: Sequence[T], size: Optional[int] = None
-) -> Union[T, List[T]]:
-    """Uniformly sample from a finite sequence of ``values``.
-
-    Thin wrapper around :meth:`numpy.random.Generator.choice` that accepts
-    arbitrary Python objects without converting them to arrays of objects in
-    surprising ways.
-    """
-    values = list(values)
-    if not values:
-        raise ValueError("cannot sample from an empty sequence")
-    if size is None:
-        return values[int(rng.integers(0, len(values)))]
-    indices = rng.integers(0, len(values), size=size)
-    return [values[int(i)] for i in indices]
-
-
-def shuffle_indices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Return a random permutation of ``range(n)``."""
-    return rng.permutation(n)
-
-
-def iter_seeds(seed: SeedLike, count: int) -> Iterable[int]:
-    """Yield ``count`` deterministic integer seeds derived from ``seed``."""
-    base = ensure_rng(seed)
-    for i in range(count):
-        yield int(derive_rng(base, i).integers(0, 2**31 - 1))

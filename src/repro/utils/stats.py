@@ -5,9 +5,6 @@ These helpers implement the small amount of statistics the paper relies on:
 * **z-scores** -- Algorithm 1 flags a processing element as *overloading*
   when the z-score of its workload increase rate within the cluster-wide
   distribution exceeds a threshold (3.0 in the paper).
-* **rolling medians** -- the application skeleton smooths iteration times
-  with the median over the last three iterations before accumulating the
-  performance degradation.
 * **box-plot and histogram summaries** -- Figures 2 and 3 report
   distributions of gains; the experiment drivers reduce raw samples to the
   same summaries so the benchmark harness can print paper-comparable rows.
@@ -22,15 +19,12 @@ import numpy as np
 
 __all__ = [
     "zscore",
-    "zscores",
-    "rolling_median",
     "relative_gain",
     "mean_confidence_interval",
     "BoxPlotSummary",
     "box_plot_summary",
     "HistogramSummary",
     "histogram_summary",
-    "weighted_imbalance",
 ]
 
 
@@ -97,43 +91,6 @@ def zscore(value: float, population: Sequence[float]) -> float:
     return (float(value) - mean) / std
 
 
-def zscores(population: Sequence[float]) -> np.ndarray:
-    """Vectorised z-scores of every element of ``population``."""
-    pop = np.asarray(list(population), dtype=float)
-    if pop.size == 0:
-        raise ValueError("population must not be empty")
-    std = float(pop.std())
-    if std == 0.0:
-        return np.zeros_like(pop)
-    return (pop - pop.mean()) / std
-
-
-def rolling_median(values: Sequence[float], window: int = 3) -> float:
-    """Median of the last ``window`` entries of ``values``.
-
-    Mirrors line 14 of Algorithm 1 (median of the times of the current and
-    the two previous iterations).  If fewer than ``window`` samples exist the
-    median of the available ones is returned.
-    """
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
-    vals = list(values)[-window:]  # repro: noqa[FLOW-HOT] -- O(window) copy of the tracker's bounded window (the paper uses window=3); the scalar fast paths below avoid any array round-trip
-    if not vals:
-        raise ValueError("values must not be empty")
-    # Scalar fast paths for the tiny windows of the runner's hot loop (the
-    # paper uses window=3); identical values to np.median, without the
-    # array round-trip.
-    n = len(vals)
-    if n == 1:
-        return float(vals[0])
-    if n == 2:
-        return (float(vals[0]) + float(vals[1])) / 2.0
-    if n == 3:
-        a, b, c = float(vals[0]), float(vals[1]), float(vals[2])
-        return max(min(a, b), min(max(a, b), c))
-    return float(np.median(np.asarray(vals, dtype=float)))  # repro: noqa[FLOW-HOT] -- reached only for window > 3; the runner's hot loop uses the paper's window=3 scalar fast paths above
-
-
 def relative_gain(baseline: float, candidate: float) -> float:
     """Relative gain of ``candidate`` over ``baseline``.
 
@@ -144,23 +101,6 @@ def relative_gain(baseline: float, candidate: float) -> float:
     if baseline == 0.0:
         raise ZeroDivisionError("baseline time must be non-zero")
     return (baseline - candidate) / baseline
-
-
-def weighted_imbalance(loads: Sequence[float]) -> float:
-    """Classical load-imbalance metric ``max/mean - 1``.
-
-    Returns 0.0 for a perfectly balanced load vector and grows with the
-    excess load of the most loaded processing element.
-    """
-    arr = np.asarray(list(loads), dtype=float)
-    if arr.size == 0:
-        raise ValueError("loads must not be empty")
-    mean = float(arr.mean())
-    if mean == 0.0:
-        return 0.0
-    # The clamp guards against mean rounding slightly above max for
-    # perfectly balanced loads (e.g. [x, x, x] with sum/3 > x by one ulp).
-    return max(0.0, float(arr.max()) / mean - 1.0)
 
 
 @dataclass(frozen=True)
@@ -197,8 +137,7 @@ def box_plot_summary(samples: Sequence[float]) -> BoxPlotSummary:
     minimum = float(arr.min())
     maximum = float(arr.max())
     # The clamp guards against pairwise summation rounding the mean one ulp
-    # outside [min, max] for near-constant samples (same class of artifact
-    # as the clamp in weighted_imbalance).
+    # outside [min, max] for near-constant samples.
     mean = min(max(float(arr.mean()), minimum), maximum)
     return BoxPlotSummary(
         minimum=minimum,

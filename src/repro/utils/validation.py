@@ -10,14 +10,12 @@ plausible-looking but wrong reproductions.
 from __future__ import annotations
 
 from numbers import Integral, Real
-from typing import Optional
 
 __all__ = [
     "check_positive",
     "check_positive_int",
     "check_non_negative",
     "check_fraction",
-    "check_in_range",
 ]
 
 
@@ -67,29 +65,4 @@ def check_fraction(value: float, name: str, *, inclusive: bool = True) -> float:
     else:
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must be within (0, 1), got {value!r}")
-    return float(value)
-
-
-def check_in_range(
-    value: float,
-    name: str,
-    *,
-    low: Optional[float] = None,
-    high: Optional[float] = None,
-    low_inclusive: bool = True,
-    high_inclusive: bool = True,
-) -> float:
-    """Ensure ``value`` lies in the given (possibly half-open) interval."""
-    if not isinstance(value, Real) or isinstance(value, bool):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if low is not None:
-        if low_inclusive and value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value!r}")
-        if not low_inclusive and value <= low:
-            raise ValueError(f"{name} must be > {low}, got {value!r}")
-    if high is not None:
-        if high_inclusive and value > high:
-            raise ValueError(f"{name} must be <= {high}, got {value!r}")
-        if not high_inclusive and value >= high:
-            raise ValueError(f"{name} must be < {high}, got {value!r}")
     return float(value)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -456,3 +462,30 @@ class TestLazyWIRViews:
         assert all(a.view(r) == b.view(r) for r in range(4))
         with pytest.raises(ValueError):
             a.publish_all(np.zeros(3))
+
+
+class TestOverloadMaskImports:
+    def test_erosion_run_does_not_import_numpy_ma(self):
+        """The distinct view widths of ``overloading_mask`` come from
+        ``np.bincount``; ``np.unique`` imports ``numpy.ma`` on its first call,
+        which every process and campaign worker paid at its first ULBA step."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.cli import main
+
+            main(["run", "--scenario", "erosion", "--pes", "64"])
+            print("numpy.ma" in sys.modules)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[-1] == "False"

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
 
-from repro.utils.io import atomic_write_json, atomic_write_text
+from repro.utils.io import atomic_write_text
 
 
 class TestAtomicWriteText:
@@ -40,21 +39,3 @@ class TestAtomicWriteText:
             atomic_write_text(path, object())  # not str: write() raises
         assert path.read_text(encoding="utf-8") == "original"
         assert os.listdir(tmp_path) == ["artifact.txt"]
-
-
-class TestAtomicWriteJson:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "artifact.json"
-        payload = {"rows": [1, 2, 3], "name": "x"}
-        atomic_write_json(path, payload)
-        text = path.read_text(encoding="utf-8")
-        assert json.loads(text) == payload
-        assert text.endswith("\n")
-
-    def test_unserializable_payload_leaves_original_intact(self, tmp_path):
-        path = tmp_path / "artifact.json"
-        atomic_write_json(path, {"ok": True})
-        with pytest.raises(TypeError):
-            atomic_write_json(path, {"bad": object()})
-        assert json.loads(path.read_text(encoding="utf-8")) == {"ok": True}
-        assert os.listdir(tmp_path) == ["artifact.json"]

@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.rng import (
-    derive_rng,
-    ensure_rng,
-    iter_seeds,
-    sample_from,
-    shuffle_indices,
-    spawn_rngs,
-)
+from repro.utils.rng import derive_rng, ensure_rng
 
 
 class TestEnsureRng:
@@ -104,65 +97,3 @@ class TestDeriveRng:
         a = derive_rng(ensure_rng(seed), key).integers(0, 2**31 - 1)
         b = derive_rng(ensure_rng(seed), key).integers(0, 2**31 - 1)
         assert a == b
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        rngs = spawn_rngs(0, 5)
-        assert len(rngs) == 5
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_streams_are_independent(self):
-        rngs = spawn_rngs(123, 3)
-        draws = [r.integers(0, 2**31 - 1, 10) for r in rngs]
-        assert not np.array_equal(draws[0], draws[1])
-        assert not np.array_equal(draws[1], draws[2])
-
-    def test_reproducible(self):
-        a = [r.integers(0, 100) for r in spawn_rngs(5, 4)]
-        b = [r.integers(0, 100) for r in spawn_rngs(5, 4)]
-        assert a == b
-
-
-class TestSampleFrom:
-    def test_single_sample_member(self, rng):
-        values = ["a", "b", "c"]
-        assert sample_from(rng, values) in values
-
-    def test_sized_sample(self, rng):
-        values = [1, 2, 3]
-        out = sample_from(rng, values, size=10)
-        assert len(out) == 10
-        assert set(out) <= set(values)
-
-    def test_empty_raises(self, rng):
-        with pytest.raises(ValueError):
-            sample_from(rng, [])
-
-    def test_preserves_object_identity(self, rng):
-        objects = [object(), object()]
-        assert sample_from(rng, objects) in objects
-
-
-class TestShuffleAndSeeds:
-    def test_shuffle_is_permutation(self, rng):
-        perm = shuffle_indices(rng, 20)
-        assert sorted(perm.tolist()) == list(range(20))
-
-    def test_iter_seeds_deterministic(self):
-        assert list(iter_seeds(1, 5)) == list(iter_seeds(1, 5))
-
-    def test_iter_seeds_distinct(self):
-        seeds = list(iter_seeds(1, 20))
-        assert len(set(seeds)) == len(seeds)
-
-    def test_iter_seeds_are_non_negative_ints(self):
-        for s in iter_seeds(2, 10):
-            assert isinstance(s, int)
-            assert s >= 0

@@ -14,10 +14,7 @@ from repro.utils.stats import (
     histogram_summary,
     mean_confidence_interval,
     relative_gain,
-    rolling_median,
-    weighted_imbalance,
     zscore,
-    zscores,
 )
 
 finite_floats = st.floats(
@@ -47,8 +44,10 @@ class TestZScore:
     @given(st.lists(finite_floats, min_size=2, max_size=20), finite_floats)
     def test_property_matches_vectorised(self, population, value):
         population = population + [value]
-        scores = zscores(population)
-        assert scores[-1] == pytest.approx(zscore(value, population), abs=1e-9)
+        pop = np.asarray(population)
+        std = pop.std()
+        expected = 0.0 if std == 0.0 else (value - pop.mean()) / std
+        assert zscore(value, population) == pytest.approx(expected, abs=1e-9)
 
     def test_single_outlier_bound(self):
         """One outlier among P values has z-score sqrt(P - 1) at most.
@@ -60,46 +59,6 @@ class TestZScore:
         for p in (4, 9, 16, 36):
             pop = [0.0] * (p - 1) + [100.0]
             assert zscore(100.0, pop) == pytest.approx(math.sqrt(p - 1))
-
-
-class TestZScores:
-    def test_mean_zero_unit_std(self):
-        scores = zscores([1.0, 2.0, 3.0, 4.0])
-        assert scores.mean() == pytest.approx(0.0, abs=1e-12)
-        assert scores.std() == pytest.approx(1.0)
-
-    def test_constant_population(self):
-        assert np.array_equal(zscores([3.0, 3.0, 3.0]), np.zeros(3))
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            zscores([])
-
-
-class TestRollingMedian:
-    def test_full_window(self):
-        assert rolling_median([1.0, 100.0, 3.0], window=3) == 3.0
-
-    def test_uses_last_window_entries(self):
-        assert rolling_median([50.0, 1.0, 2.0, 3.0], window=3) == 2.0
-
-    def test_short_history(self):
-        assert rolling_median([4.0], window=3) == 4.0
-
-    def test_window_one(self):
-        assert rolling_median([1.0, 2.0, 9.0], window=1) == 9.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            rolling_median([], window=3)
-
-    def test_bad_window_raises(self):
-        with pytest.raises(ValueError):
-            rolling_median([1.0], window=0)
-
-    def test_median_is_robust_to_one_spike(self):
-        """A single spike does not move the 3-window median (Algorithm 1)."""
-        assert rolling_median([1.0, 1.0, 50.0], window=3) == 1.0
 
 
 class TestRelativeGain:
@@ -128,26 +87,6 @@ class TestRelativeGain:
             assert gain < 0
         else:
             assert gain == 0
-
-
-class TestWeightedImbalance:
-    def test_balanced_is_zero(self):
-        assert weighted_imbalance([2.0, 2.0, 2.0]) == 0.0
-
-    def test_known_imbalance(self):
-        # loads [1, 1, 4]: mean 2, max 4 -> imbalance 1.0.
-        assert weighted_imbalance([1.0, 1.0, 4.0]) == pytest.approx(1.0)
-
-    def test_zero_loads(self):
-        assert weighted_imbalance([0.0, 0.0]) == 0.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            weighted_imbalance([])
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30))
-    def test_property_non_negative(self, loads):
-        assert weighted_imbalance(loads) >= 0.0
 
 
 class TestMeanConfidenceInterval:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.utils.validation import (
     check_fraction,
-    check_in_range,
     check_non_negative,
     check_non_negative_int,
     check_positive,
@@ -94,30 +93,3 @@ class TestCheckFraction:
     def test_rejects_non_number(self):
         with pytest.raises(TypeError):
             check_fraction("0.5", "f")
-
-
-class TestCheckInRange:
-    def test_inclusive_bounds(self):
-        assert check_in_range(1.0, "x", low=1.0, high=2.0) == 1.0
-        assert check_in_range(2.0, "x", low=1.0, high=2.0) == 2.0
-
-    def test_exclusive_bounds(self):
-        with pytest.raises(ValueError):
-            check_in_range(1.0, "x", low=1.0, low_inclusive=False)
-        with pytest.raises(ValueError):
-            check_in_range(2.0, "x", high=2.0, high_inclusive=False)
-
-    def test_below_low(self):
-        with pytest.raises(ValueError, match="must be >="):
-            check_in_range(0.5, "x", low=1.0)
-
-    def test_above_high(self):
-        with pytest.raises(ValueError, match="must be <="):
-            check_in_range(3.0, "x", high=2.0)
-
-    def test_unbounded(self):
-        assert check_in_range(-1e9, "x") == -1e9
-
-    def test_rejects_non_number(self):
-        with pytest.raises(TypeError):
-            check_in_range(None, "x", low=0.0)
