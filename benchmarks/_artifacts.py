@@ -11,6 +11,9 @@ The output directory defaults to the repository root (where the files are
 gitignored), never the invoker's working directory; override it with
 ``REPRO_BENCH_OUT`` (CI points it at an upload directory), or set
 ``REPRO_BENCH_OUT=`` (empty) to disable persistence entirely.
+
+:func:`alternating_best_of` is the one timer of the ratio gates: it
+interleaves the two sides of a comparison round by round.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import json
 import os
 import platform
 import subprocess
+import time
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["env_metadata", "record_bench"]
+__all__ = ["alternating_best_of", "env_metadata", "record_bench"]
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,6 +60,26 @@ def env_metadata() -> Dict[str, object]:
         "cpu_count": os.cpu_count(),
         "git_sha": sha,
     }
+
+
+def alternating_best_of(
+    first: Callable[[], Any], second: Callable[[], Any], rounds: int
+) -> Tuple[Tuple[float, Any], Tuple[float, Any]]:
+    """``(best wall seconds, last result)`` of each side over ``rounds``.
+
+    Every round runs both sides once, and the side that runs first
+    alternates from round to round, so host drift and warm-up land on both
+    sides alike instead of on whichever block ran during a slow stretch.
+    """
+    sides = (first, second)
+    best = [float("inf"), float("inf")]
+    last: List[Any] = [None, None]
+    for round_index in range(rounds):
+        for index in (0, 1) if round_index % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            last[index] = sides[index]()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return (best[0], last[0]), (best[1], last[1])
 
 
 def _out_dir() -> Optional[Path]:

@@ -26,11 +26,10 @@ relaxes both thresholds so shared runners do not flake.  Both cases persist
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
-from _artifacts import record_bench
+from _artifacts import alternating_best_of, record_bench
 
 from repro.batch import BatchRunner
 from repro.lb.registry import make_policy_pair
@@ -105,22 +104,13 @@ def run_batched(use_gossip):
     return runner.run(ITERATIONS)
 
 
-def _timed(func, *args):
-    start = time.perf_counter()
-    result = func(*args)
-    return time.perf_counter() - start, result
-
-
 def _measure(use_gossip, threshold, label):
     reps = 2 if SMOKE else 4
-    # Alternate the two sides so host drift during the measurement lands on
-    # both of them; each side keeps its best of ``reps`` runs.
-    seq_time = batch_time = float("inf")
-    for _ in range(reps):
-        elapsed, seq_results = _timed(run_sequential, use_gossip)
-        seq_time = min(seq_time, elapsed)
-        elapsed, batch_result = _timed(run_batched, use_gossip)
-        batch_time = min(batch_time, elapsed)
+    (seq_time, seq_results), (batch_time, batch_result) = alternating_best_of(
+        lambda: run_sequential(use_gossip),
+        lambda: run_batched(use_gossip),
+        reps,
+    )
 
     # Same runs, same schedules: the batch engine is bit-identical.
     assert [r.num_lb_calls for r in seq_results] == batch_result.lb_calls().tolist()

@@ -17,9 +17,8 @@ most 5% over the bare pool dispatch (relaxed under ``REPRO_BENCH_SMOKE=1``
 from __future__ import annotations
 
 import os
-import time
 
-from _artifacts import record_bench
+from _artifacts import alternating_best_of, record_bench
 from conftest import run_once
 
 from repro.campaign import campaign_for_scale, run_campaign
@@ -88,23 +87,15 @@ def test_bench_supervised_overhead(tmp_path):
         "quarantine": tmp_path / "bench.quarantine.jsonl",
     }
 
-    def timed(kwargs):
-        start = time.perf_counter()
-        run = run_campaign(spec, jobs=2, **kwargs)
-        elapsed = time.perf_counter() - start
-        assert run.executed == spec.num_cells
-        assert run.clean
-        return elapsed
+    def run(kwargs):
+        result = run_campaign(spec, jobs=2, **kwargs)
+        assert result.executed == spec.num_cells
+        assert result.clean
+        return result
 
-    bare_times, guarded_times = [], []
-    for round_index in range(rounds):
-        if round_index % 2:
-            guarded_times.append(timed(guards))
-            bare_times.append(timed({}))
-        else:
-            bare_times.append(timed({}))
-            guarded_times.append(timed(guards))
-    bare, guarded = min(bare_times), min(guarded_times)
+    (bare, _), (guarded, _) = alternating_best_of(
+        lambda: run({}), lambda: run(guards), rounds
+    )
     ratio = guarded / bare
     record_bench(
         "campaign",

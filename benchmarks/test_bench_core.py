@@ -13,11 +13,10 @@ run asserts the >= 5x acceptance bar of the PR at 64 PEs / 512 columns.
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
-from _artifacts import record_bench
+from _artifacts import alternating_best_of, record_bench
 
 from repro.runtime.reference import (
     ReferenceIterativeRunner,
@@ -77,23 +76,13 @@ def test_bench_runner_iterations(benchmark, num_pes):
     )
 
 
-def _best_of(factory, repetitions):
-    best = float("inf")
-    result = None
-    for _ in range(repetitions):
-        runner = factory()
-        start = time.perf_counter()
-        result = runner.run(SPEEDUP_ITERATIONS)
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def test_vectorized_core_speedup_vs_reference():
     """The acceptance criterion: >= 5x at 64 PEs / 512 columns, gossip on.
 
     Both cores run the identical seeded workload; the reference is the
     frozen pre-vectorization implementation.  Timing uses best-of-N wall
-    clock, which is robust against transient machine load.
+    clock over alternating rounds, which is robust against transient
+    machine load.
     """
 
     def new_runner():
@@ -118,8 +107,11 @@ def test_vectorized_core_speedup_vs_reference():
         )
 
     reps = 2 if SMOKE else 4
-    new_time, new_result = _best_of(new_runner, reps)
-    ref_time, ref_result = _best_of(ref_runner, max(2, reps - 1))
+    (new_time, new_result), (ref_time, ref_result) = alternating_best_of(
+        lambda: new_runner().run(SPEEDUP_ITERATIONS),
+        lambda: ref_runner().run(SPEEDUP_ITERATIONS),
+        reps,
+    )
 
     # Same workload, same trigger schedule (seeded, gossip-independent here).
     assert new_result.num_lb_calls == ref_result.num_lb_calls

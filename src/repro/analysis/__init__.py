@@ -16,9 +16,9 @@ invariants the reproduction depends on:
   must name a real rule and carry a justification.
 
 The ``FLOW-*`` rules read the whole-program view of the
-:mod:`repro.analysis.flow` layer (symbol table, call graph, fixpoint
-summaries), so each invariant holds *across* call boundaries with one rule
-and one implementation.
+:mod:`repro.analysis.flow` layer (symbol table, call graph, spawn-boundary
+shapes) and each owns its fixpoint analysis, so each invariant holds
+*across* call boundaries with one rule and one implementation.
 
 Run it as ``python -m repro lint`` (see ``docs/static-analysis.md``), or
 programmatically::

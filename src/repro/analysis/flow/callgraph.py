@@ -10,7 +10,7 @@ of four shapes:
   -- as the conservative fallback for dynamic dispatch -- the *unique*
   project function with that bare name;
 * a **project class constructor** (:attr:`CallSite.target_class`), which
-  the engines treat as a call to ``__init__``;
+  the flow rules treat as a call to ``__init__``;
 * an **external** callable with a known dotted path
   (:attr:`CallSite.external`, e.g. ``numpy.zeros``, ``functools.partial``,
   or a builtin name);
@@ -98,23 +98,13 @@ class CallSite:
 
     @property
     def callee(self) -> Optional[FunctionInfo]:
-        """The function the engines should descend into (``__init__`` for
+        """The function the flow rules descend into (``__init__`` for
         constructor calls)."""
         if self.target is not None:
             return self.target
         if self.target_class is not None:
             return self.target_class.methods.get("__init__")
         return None
-
-    @property
-    def callee_display(self) -> str:
-        if self.target is not None:
-            return self.target.ref
-        if self.target_class is not None:
-            return self.target_class.ref
-        if self.external is not None:
-            return self.external
-        return self.unresolved_attr or "<unknown>"
 
 
 class _FunctionScope:
@@ -164,7 +154,7 @@ class CallGraph:
     project: FlowProject
     #: Caller ref -> call sites in source order.
     sites: Dict[str, List[CallSite]] = field(default_factory=dict)
-    #: Caller ref -> scope (reused by the dataflow engine).
+    #: Caller ref -> scope (reused by FLOW-PKL and FLOW-MUT).
     scopes: Dict[str, _FunctionScope] = field(default_factory=dict)
 
     def sites_of(self, fn: FunctionInfo) -> List[CallSite]:
@@ -182,19 +172,6 @@ class CallGraph:
                 if callee is not None:
                     pairs.add((ref, callee.ref))
         return sorted(pairs)
-
-
-def _attribute_chain(node: ast.AST) -> Optional[List[str]]:
-    """``self.wir_db.publish`` -> ``["self", "wir_db", "publish"]``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    parts.reverse()
-    return parts
 
 
 def _bind_dotted(project: FlowProject, site: CallSite, dotted: str) -> None:
@@ -241,11 +218,11 @@ def _resolve_call(
         return site  # call on a local variable: unresolved
 
     if isinstance(func, ast.Attribute):
-        chain = _attribute_chain(func)
-        if chain is None:
+        dotted_func = _annotation_name(func)
+        if dotted_func is None:
             site.unresolved_attr = func.attr
             return site
-        head, rest = chain[0], chain[1:]
+        head, *rest = dotted_func.split(".")
 
         # Import-qualified: np.zeros, rng_module.ensure_rng, pkg.mod.fn.
         if head not in scope.assigned and head != "self":

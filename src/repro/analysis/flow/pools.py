@@ -16,15 +16,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.flow.callgraph import CallGraph, CallSite
-from repro.analysis.flow.summaries import MutationInfo, node_location
 from repro.analysis.flow.symbols import (
     FlowProject,
     FunctionInfo,
     ModuleInfo,
     _annotation_name,
 )
+from repro.analysis.framework import node_location
 
 __all__ = [
+    "MutationInfo",
     "Submission",
     "collect_mutations",
     "resolve_callable_expr",
@@ -199,6 +200,20 @@ def resolve_callable_expr(
 #: Suppressing this rule at the write site excuses the write from the
 #: reachability analysis as well.
 _MUTATION_WAIVER_RULES = ("FLOW-MUT",)
+
+
+@dataclass
+class MutationInfo:
+    """Module-global writes performed directly by one function."""
+
+    #: Names of the module globals written.
+    names: Tuple[str, ...] = ()
+    #: Write sites as ``(line, col)`` pairs in the function's file.
+    sites: List[Tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def writes(self) -> bool:
+        return bool(self.names)
 
 
 def collect_mutations(graph: CallGraph) -> Dict[str, MutationInfo]:

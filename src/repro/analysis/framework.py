@@ -180,6 +180,11 @@ register_rule(
 # ----------------------------------------------------------------------
 # File context.
 # ----------------------------------------------------------------------
+def node_location(node: ast.AST) -> Tuple[int, int]:
+    """``(line, col)`` of an AST node (defensive defaults)."""
+    return getattr(node, "lineno", 1), getattr(node, "col_offset", 0)
+
+
 @dataclass
 class FileContext:
     """Everything one rule invocation may inspect about one file."""
@@ -212,12 +217,13 @@ class FileContext:
         rule = self._active_rule
         if rule is None:  # pragma: no cover - driver always sets it
             raise RuntimeError("report() called outside a rule check")
+        node_line, node_col = node_location(node)
         self.findings.append(
             Finding(
                 rule=rule.rule_id,
                 path=self.path,
-                line=line if line is not None else getattr(node, "lineno", 1),
-                col=col if col is not None else getattr(node, "col_offset", 0),
+                line=line if line is not None else node_line,
+                col=col if col is not None else node_col,
                 message=message,
             )
         )

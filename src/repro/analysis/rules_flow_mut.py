@@ -23,7 +23,7 @@ from repro.analysis.flow.pools import (
     submission_of,
 )
 from repro.analysis.flow.symbols import FlowProject, FunctionInfo
-from repro.analysis.framework import FileContext, LintRule, register_rule
+from repro.analysis.framework import FileContext, LintRule, node_location, register_rule
 
 __all__ = ["WorkerReachableMutationRule"]
 
@@ -109,8 +109,7 @@ def _compute(project: FlowProject) -> List[_MutEvent]:
             if info is None or not info.writes:
                 continue
             names = ", ".join(f"`{name}`" for name in info.names)
-            line = getattr(site.node, "lineno", 1)
-            col = getattr(site.node, "col_offset", 0)
+            line, col = node_location(site.node)
             emit(
                 fn.path,
                 line,

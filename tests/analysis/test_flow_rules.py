@@ -9,7 +9,10 @@ where it is built, so no flow of it can reach the simulation core.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List
+
+import pytest
 
 from repro.analysis import lint_paths
 from repro.analysis.findings import Finding
@@ -228,6 +231,27 @@ def test_flow_hot_chain_descends_multiple_calls(tmp_path):
     assert "refresh" in finding.message and "_rebuild" in finding.message
 
 
+def test_flow_hot_chain_deeper_than_any_round_cap(tmp_path):
+    # Caller-first order: each fixpoint round closes one more hop, so the
+    # 50-helper chain needs 50 rounds to reach `BatchRunner.run`.
+    depth = 50
+    helpers = [
+        f"def h_{i:02d}(state):\n    return h_{i + 1:02d}(state)\n"
+        for i in range(depth - 1)
+    ]
+    helpers.append(f"def h_{depth - 1:02d}(state):\n    return list(state)\n")
+    files = {
+        "repro/batch/helpers.py": "\n".join(helpers),
+        "repro/batch/runner.py": _HOT_TP["repro/batch/runner.py"].replace(
+            "refresh", "h_00"
+        ),
+    }
+    hit = _rules_hit(_lint(tmp_path, files))
+    assert sorted(hit) == ["FLOW-HOT"], sorted(hit)
+    (finding,) = hit["FLOW-HOT"]
+    assert "h_00" in finding.message and "list(...)" in finding.message
+
+
 # ----------------------------------------------------------------------
 # FLOW-PKL: lambda smuggled to a pool behind `functools.partial`.
 # ----------------------------------------------------------------------
@@ -290,6 +314,81 @@ def test_flow_pkl_catches_lock_in_payload_tuple(tmp_path):
     hit = _rules_hit(_lint(tmp_path, files))
     assert "FLOW-PKL" in hit, sorted(hit)
     assert "threading.Lock" in hit["FLOW-PKL"][0].message
+
+
+def test_flow_pkl_follows_a_chain_deeper_than_any_round_cap(tmp_path):
+    # Caller-first order: each fixpoint round carries the lambda one hop
+    # up, so `a_00()` returns it only after 13 rounds.
+    depth = 13
+    helpers = [
+        f"def a_{i:02d}():\n    return a_{i + 1:02d}()\n" for i in range(depth - 1)
+    ]
+    helpers.append(f"def a_{depth - 1:02d}():\n    return lambda x: x\n")
+    source = (
+        "def launch(pool, run):\n"
+        "    return pool.submit(run, a_00())\n"
+        "\n" + "\n".join(helpers)
+    )
+    hit = _rules_hit(_lint(tmp_path, {"repro/launch.py": source}))
+    assert sorted(hit) == ["FLOW-PKL"], sorted(hit)
+    (finding,) = hit["FLOW-PKL"]
+    assert finding.line == 2 and "a lambda" in finding.message
+
+
+_SUBMIT_LAMBDA = "pool.submit(run, lambda x: x)"
+
+#: Statement shapes that must not hide a submission from FLOW-PKL.
+_BLOCK_SHAPES = {
+    "if": f"    if flag:\n        {_SUBMIT_LAMBDA}\n",
+    "while": f"    while flag:\n        {_SUBMIT_LAMBDA}\n",
+    "try-except-finally": (
+        "    try:\n        pass\n"
+        f"    except ValueError:\n        {_SUBMIT_LAMBDA}\n"
+        "    finally:\n        pass\n"
+    ),
+    "with": "    with open(flag) as fh:\n        pool.submit(run, fh)\n",
+    "for-else": (
+        "    for x in flag:\n        pass\n"
+        f"    else:\n        {_SUBMIT_LAMBDA}\n"
+    ),
+    "walrus": (
+        "    if (task := lambda x: x) is not None:\n"
+        "        pool.submit(run, task)\n"
+    ),
+    "augassign": (
+        "    tasks = []\n    tasks += [lambda x: x]\n    pool.submit(run, tasks)\n"
+    ),
+    "match": f"    match flag:\n        case _:\n            {_SUBMIT_LAMBDA}\n",
+    "assert-message": f"    assert flag, {_SUBMIT_LAMBDA}\n",
+    "raise-from": f"    raise RuntimeError(flag) from {_SUBMIT_LAMBDA}\n",
+}
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.skipif(
+                name == "match" and sys.version_info < (3, 10),
+                reason="match statements need Python 3.10",
+            ),
+        )
+        for name in _BLOCK_SHAPES
+    ],
+)
+def test_flow_pkl_sees_submissions_inside_every_block_shape(tmp_path, shape):
+    source = "def launch(pool, run, flag):\n" + _BLOCK_SHAPES[shape]
+    hit = _rules_hit(_lint(tmp_path, {"repro/launch.py": source}))
+    assert sorted(hit) == ["FLOW-PKL"], sorted(hit)
+    (finding,) = hit["FLOW-PKL"]
+    assert "submission" in finding.message
+    submit_line = next(
+        number
+        for number, line in enumerate(source.splitlines(), start=1)
+        if "pool.submit" in line
+    )
+    assert finding.line == submit_line
 
 
 # ----------------------------------------------------------------------
