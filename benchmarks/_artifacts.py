@@ -13,7 +13,7 @@ gitignored), never the invoker's working directory; override it with
 ``REPRO_BENCH_OUT=`` (empty) to disable persistence entirely.
 
 :func:`alternating_best_of` is the one timer of the ratio gates: it
-interleaves the two sides of a comparison round by round.
+interleaves the two sides of a comparison run by run.
 """
 
 from __future__ import annotations
@@ -63,23 +63,36 @@ def env_metadata() -> Dict[str, object]:
 
 
 def alternating_best_of(
-    first: Callable[[], Any], second: Callable[[], Any], rounds: int
+    first: Callable[[], Callable[[], Any]],
+    second: Callable[[], Callable[[], Any]],
+    rounds: int,
+    repeat: int = 1,
 ) -> Tuple[Tuple[float, Any], Tuple[float, Any]]:
-    """``(best wall seconds, last result)`` of each side over ``rounds``.
+    """``(best wall seconds per run, last result)`` of each side.
 
-    Every round runs both sides once, and the side that runs first
-    alternates from round to round, so host drift and warm-up land on both
-    sides alike instead of on whichever block ran during a slow stretch.
+    Each side is a factory: calling it prepares one run off the clock and
+    returns the zero-argument callable whose call alone is timed.  The two
+    sides run in ``rounds * repeat`` back-to-back pairs, and the side that
+    runs first alternates, so host drift and warm-up land on both sides
+    alike.  Pair ``i`` counts toward round ``i % rounds``: a round's time
+    is the sum of its ``repeat`` runs per side, spread over the whole
+    measurement, so a quick or slow stretch of the host is shared by every
+    round instead of deciding one.  Each side keeps its best round.  A
+    side's previous result is released before its next run starts, so
+    freeing it is not timed either.
     """
     sides = (first, second)
-    best = [float("inf"), float("inf")]
+    spent = [[0.0] * rounds, [0.0] * rounds]
     last: List[Any] = [None, None]
-    for round_index in range(rounds):
-        for index in (0, 1) if round_index % 2 == 0 else (1, 0):
+    for pair in range(rounds * repeat):
+        sweep, round_index = divmod(pair, rounds)
+        for index in (0, 1) if (sweep + round_index) % 2 == 0 else (1, 0):
+            last[index] = None
+            run = sides[index]()
             start = time.perf_counter()
-            last[index] = sides[index]()
-            best[index] = min(best[index], time.perf_counter() - start)
-    return (best[0], last[0]), (best[1], last[1])
+            last[index] = run()
+            spent[index][round_index] += time.perf_counter() - start
+    return (min(spent[0]) / repeat, last[0]), (min(spent[1]) / repeat, last[1])
 
 
 def _out_dir() -> Optional[Path]:

@@ -26,6 +26,7 @@ relaxes both thresholds so shared runners do not flake.  Both cases persist
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import pytest
 
@@ -104,12 +105,11 @@ def run_batched(use_gossip):
     return runner.run(ITERATIONS)
 
 
-def _measure(use_gossip, threshold, label):
-    reps = 2 if SMOKE else 4
+def _measure(use_gossip, threshold, label, rounds):
     (seq_time, seq_results), (batch_time, batch_result) = alternating_best_of(
-        lambda: run_sequential(use_gossip),
-        lambda: run_batched(use_gossip),
-        reps,
+        lambda: partial(run_sequential, use_gossip),
+        lambda: partial(run_batched, use_gossip),
+        2 if SMOKE else rounds,
     )
 
     # Same runs, same schedules: the batch engine is bit-identical.
@@ -144,13 +144,23 @@ def _measure(use_gossip, threshold, label):
 
 
 def test_batch_engine_speedup_instant():
-    """Acceptance bar: >= 3x over sequential replicas, instant WIR mode."""
-    _measure(False, INSTANT_THRESHOLD, "instant")
+    """Acceptance bar: >= 3x over sequential replicas, instant WIR mode.
+
+    A batched instant run takes under 0.1 s, and a few seconds of host
+    contention slow it more than the sequential side, by more than the
+    bar's margin.  Sixteen alternated rounds span enough time for both
+    sides to meet a quiet stretch.
+    """
+    _measure(False, INSTANT_THRESHOLD, "instant", rounds=16)
 
 
 def test_batch_engine_speedup_gossip():
-    """Gossip mode: real but data-bound win; guarded against regression."""
-    _measure(True, GOSSIP_THRESHOLD, "gossip")
+    """Gossip mode: real but data-bound win; guarded against regression.
+
+    Host contention slows the batched side more here too; eight rounds
+    give both sides the chance of a quiet stretch.
+    """
+    _measure(True, GOSSIP_THRESHOLD, "gossip", rounds=8)
 
 
 @pytest.mark.parametrize("replicas", [4, 16])

@@ -13,6 +13,7 @@ run asserts the >= 5x acceptance bar of the PR at 64 PEs / 512 columns.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import pytest
 
@@ -108,8 +109,8 @@ def test_vectorized_core_speedup_vs_reference():
 
     reps = 2 if SMOKE else 4
     (new_time, new_result), (ref_time, ref_result) = alternating_best_of(
-        lambda: new_runner().run(SPEEDUP_ITERATIONS),
-        lambda: ref_runner().run(SPEEDUP_ITERATIONS),
+        lambda: partial(new_runner().run, SPEEDUP_ITERATIONS),
+        lambda: partial(ref_runner().run, SPEEDUP_ITERATIONS),
         reps,
     )
 

@@ -11,12 +11,12 @@ figure-level reproductions.
 from __future__ import annotations
 
 import os
-import time
+from functools import partial
 
 import numpy as np
 import pytest
 
-from _artifacts import record_bench
+from _artifacts import alternating_best_of, record_bench
 
 from repro.core.parameters import TableIISampler
 from repro.core.schedule import evaluate_schedule, sigma_plus_schedule
@@ -114,7 +114,7 @@ def test_bench_gossip_round(benchmark):
 # --------------------------------------------------------------------------
 
 OBS_ITERATIONS = 60 if SMOKE else 300
-OBS_REPS = 2 if SMOKE else 4
+OBS_REPS = 2 if SMOKE else 8
 #: Allowed profiled-on slowdown relative to the profiled-off run.  The
 #: probes are seven perf_counter_ns pairs per iteration against ms-scale
 #: iterations, so the true cost is well under a percent; the bound only
@@ -148,28 +148,21 @@ def _obs_bench_runner(profiler):
     )
 
 
-def _best_obs_wall(profiled: bool) -> float:
-    best = float("inf")
-    for _ in range(OBS_REPS):
-        runner = _obs_bench_runner(StageProfiler() if profiled else None)
-        start = time.perf_counter()
-        runner.run(OBS_ITERATIONS)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_bench_obs_profiler_overhead():
     """Stage profiling of the P=64 gossip loop: cheap probes, >=90% coverage.
 
     Times the identical seeded workload with the profiler detached and
-    attached (best-of-N wall clock, interleave-free), records both
+    attached (best-of-N wall clock over alternated rounds), records both
     throughputs to ``BENCH_core.json``, and asserts the attached run stays
     within :data:`OBS_ON_OVERHEAD_LIMIT` of the detached one.  The profiled
     run must also attribute at least 90% of measured loop time to named
     stages (80% in smoke mode) -- the acceptance bar for the probe layout.
     """
-    off_wall = _best_obs_wall(profiled=False)
-    on_wall = _best_obs_wall(profiled=True)
+    (off_wall, _), (on_wall, _) = alternating_best_of(
+        lambda: partial(_obs_bench_runner(None).run, OBS_ITERATIONS),
+        lambda: partial(_obs_bench_runner(StageProfiler()).run, OBS_ITERATIONS),
+        OBS_REPS,
+    )
 
     profiler = StageProfiler()
     _obs_bench_runner(profiler).run(OBS_ITERATIONS)
