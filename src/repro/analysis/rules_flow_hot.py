@@ -39,7 +39,6 @@ HOT_REGIONS: Dict[str, Dict[str, str]] = {
     # The one Algorithm 1 loop: solo runs are a batch of one.
     "repro/batch/runner.py": {
         "BatchRunner.run": "loop",
-        "BatchRunner._stripe_loads": "body",
         "BatchRunner._stripe_loads_all": "body",
         "BatchRunner._fill_columns": "body",
         "BatchRunner._build_context": "body",

@@ -126,8 +126,9 @@ class Session:
       (:meth:`RunnerConfig.resolve_lb_cost_prior`) and the event bus.
 
     Subscribe to progress with :meth:`on` before calling :meth:`run`.
-    Repeated ``run`` calls continue on the same virtual cluster (clocks and
-    trace carry over), exactly like calling ``IterativeRunner.run`` again.
+    Repeated ``run`` calls continue on the same virtual cluster (clocks,
+    trace and iteration count carry over), exactly like calling
+    ``IterativeRunner.run`` again.
     """
 
     def __init__(

@@ -21,12 +21,14 @@ Control flow that genuinely diverges per replica -- the LB trigger decision,
 the centralized LB step, partitions -- stays per-replica, running the
 per-replica components (one :class:`~repro.simcluster.cluster.VirtualCluster`,
 load balancer, policy pair and :class:`~repro.lb.wir.WIRDatabase` view per
-replica) against NumPy row views of the shared state.  Replicas share no
-state, so replica ``r`` of a batch is bit-identical to a solo run with seed
-``seeds[r]`` by construction (``tests/batch/test_batch_equivalence.py`` and
-the randomized ``tests/batch/test_solo_batch_differential.py`` pin it), and
-the frozen loop of :mod:`repro.runtime.reference` plus the golden fixtures
-pin that the numbers are the historical ones.
+replica) against NumPy row views of the shared state.  Line 16 has one path,
+the reference loop's: each replica's trigger decides on its own
+:class:`~repro.lb.base.LBContext`, which a fired LB step reuses.  Replicas
+share no state, so replica ``r`` of a batch is bit-identical to a solo run
+with seed ``seeds[r]`` by construction (``tests/batch/test_batch_equivalence.py``
+and the randomized ``tests/batch/test_solo_batch_differential.py`` pin it),
+and the frozen loop of :mod:`repro.runtime.reference` plus the golden
+fixtures pin that the numbers are the historical ones.
 
 **Memory model.**  The dominant state of a dense-gossip batch is the
 ``(R, P, P)`` board -- 16 bytes per entry, so 16 replicas at ``P = 1024``
@@ -218,6 +220,10 @@ class BatchRunner:
         # _run_on; the IterativeRunner facade forwards its callbacks here).
         self._on_iteration: Optional[Callable[[int, float], None]] = None
         self._on_lb_step: Optional[Callable[[int, LBStepReport], None]] = None
+        #: Iterations completed by earlier :meth:`run` calls; the next call's
+        #: iteration indices continue from here.
+        self._iterations_done = 0
+        self._total_iterations: Optional[int] = None
 
         if memory_budget_bytes is not None:
             check_positive(memory_budget_bytes, "memory_budget_bytes")
@@ -280,7 +286,7 @@ class BatchRunner:
         #: Shared ``(R, P)`` PE state of every replica.
         self.state = PEStateArrays(num_pes, pe_speed, replicas=replicas)
         #: Per-replica cluster facades over the shared state rows (each with
-        #: its own trace and comm counters; LB steps charge through these).
+        #: its own trace; LB steps charge through these).
         self.clusters: List[VirtualCluster] = [
             VirtualCluster(
                 num_pes,
@@ -306,21 +312,17 @@ class BatchRunner:
         #: Vectorized degradation accumulation (elementwise bit-identical to
         #: R reference trackers; see BatchDegradationTracker).
         self.degradation = BatchDegradationTracker(replicas)
-        # The degradation-trigger family admits a vectorized decision path:
-        # `degradation >= margin * avg_cost` is a necessary condition for
-        # firing (the ULBA overhead only raises the threshold), so one
-        # vectorized compare gates the per-replica Python work; any custom
-        # trigger type falls back to per-replica should_balance calls with
-        # full contexts.
-        self._trigger_fast_mode = self._detect_trigger_fast_mode(self.trigger_policies)
-        if self._trigger_fast_mode is not None:
-            self._trigger_margins = np.asarray(
-                [t.cost_margin for t in self.trigger_policies], dtype=float
-            )
-            #: Per-replica average-LB-cost cache; only changes at LB steps.
-            self._avg_cost_buf = np.asarray(
-                self.initial_lb_cost_estimates, dtype=float
-            )
+        # `degradation >= margin * avg_cost` is a necessary firing condition
+        # of the degradation-trigger family (the ULBA overhead of Eq. 11
+        # only raises the threshold).  When every trigger is exactly one of
+        # the two, one vectorized compare on the margins picks the replicas
+        # that ask their trigger; otherwise (None) every replica asks.
+        triggers = self.trigger_policies
+        self._trigger_margins: Optional[np.ndarray] = None
+        if all(type(t) in (DegradationTrigger, ULBADegradationTrigger) for t in triggers):
+            self._trigger_margins = np.asarray([t.cost_margin for t in triggers], dtype=float)
+        #: Per-replica average LB cost; only changes at LB steps.
+        self._avg_cost_buf = np.asarray(self.initial_lb_cost_estimates, dtype=float)
         self._last_lb_arr = np.zeros(replicas, dtype=np.int64)
         self.partitioner = StripePartitioner(num_pes)
         #: Current stripe partition of each replica (uniform until LB calls
@@ -340,7 +342,6 @@ class BatchRunner:
         self._column_sources = list(
             zip(self._cols_buf, [app.column_loads for app in self.applications])
         )
-        self._total_iterations: Optional[int] = None
 
     def _load_balancer(
         self, cluster: VirtualCluster, policy: WorkloadPolicy
@@ -376,27 +377,6 @@ class BatchRunner:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _detect_trigger_fast_mode(
-        triggers: Sequence[TriggerPolicy],
-    ) -> Optional[str]:
-        """Classify the trigger set for the vectorized decision path.
-
-        ``"standard"``: every trigger is exactly a
-        :class:`~repro.lb.adaptive.DegradationTrigger` (threshold = margin x
-        average LB cost, no WIR reads).  ``"ulba"``: every trigger is
-        exactly a :class:`~repro.lb.adaptive.ULBADegradationTrigger`, so the
-        runner adds the trigger's Eq. 11 overhead inline, with each
-        replica's own detector, for the candidate replicas only.  Anything
-        else returns ``None`` and the runner calls ``should_balance`` per
-        replica with a full context -- same results, just slower.
-        """
-        if all(type(t) is ULBADegradationTrigger for t in triggers):
-            return "ulba"
-        if all(type(t) is DegradationTrigger for t in triggers):
-            return "standard"
-        return None
-
-    @staticmethod
     def _starts_of(partition: StripePartition) -> np.ndarray:
         """reduceat start offsets of a partition.
 
@@ -405,10 +385,6 @@ class BatchRunner:
         stripes are never empty, so ``reduceat`` sums each stripe exactly.
         """
         return np.asarray(partition.partition.boundaries[:-1])
-
-    def _stripe_loads(self, replica: int, column_loads: np.ndarray) -> np.ndarray:
-        """Per-stripe workload sums of one replica under its partition."""
-        return np.add.reduceat(column_loads, self._stripe_starts[replica])
 
     def _stripe_loads_all(self) -> np.ndarray:
         """``(R, P)`` stripe sums of every replica from the column buffer.
@@ -449,42 +425,17 @@ class BatchRunner:
             total_iterations=self._total_iterations,
         )
 
-    def _ulba_threshold(
-        self, replica: int, base: float, stripe_loads: np.ndarray
-    ) -> float:
-        """``base`` plus the ULBA overhead of Eq. 11 for one replica.
-
-        Bitwise :meth:`ULBADegradationTrigger.threshold` of the replica's
-        context (``base`` is its ``margin x average LB cost``), without
-        building the context: the replica's detector counts the overloading
-        entries of rank 0's compacted view.
-        """
-        trigger = self.trigger_policies[replica]
-        n = trigger.detector.overloading_count(
-            self.wir_db.replica(replica).known_values(0)
-        )
-        workloads = stripe_loads * self.applications[replica].flop_per_load_unit
-        return base + trigger.overhead(
-            n,
-            self.num_pes,
-            # repro: noqa[FLOW-HOT] -- sequential Python-float sum is bit-identical to ULBADegradationTrigger's tuple sum; np.sum's pairwise summation rounds differently
-            sum(workloads.tolist()),
-            self.state.speed,
-        )
-
     # ------------------------------------------------------------------
     def _execute_lb_step(
         self,
         r: int,
         iteration: int,
-        new_stripe_loads: np.ndarray,
         stripe_loads: np.ndarray,
         lb_reports: List[List[LBStepReport]],
-        context: Optional[LBContext] = None,
+        context: LBContext,
     ) -> None:
-        """Run one replica's centralized LB step (Algorithm 2)."""
-        if context is None:
-            context = self._build_context(r, iteration, new_stripe_loads[r])
+        """Run one replica's centralized LB step (Algorithm 2) on the
+        ``context`` its trigger fired on."""
         report = self.load_balancers[r].execute(
             context,
             self._cols_buf[r],
@@ -499,11 +450,10 @@ class BatchRunner:
             starts + r * self._num_columns
         )
         self._last_lb_arr[r] = iteration + 1
-        if self._trigger_fast_mode is not None:
-            self._avg_cost_buf[r] = self._average_lb_cost(r)
+        self._avg_cost_buf[r] = self._average_lb_cost(r)
         self.degradation.reset_replica(r)
         self.trigger_policies[r].notify_balanced(context)
-        rebalanced = self._stripe_loads(r, self._cols_buf[r])
+        rebalanced = np.add.reduceat(self._cols_buf[r], starts)
         self.wir_estimates.reset_replica_after_migration(
             r, rebalanced * self.applications[r].flop_per_load_unit
         )
@@ -518,9 +468,19 @@ class BatchRunner:
         starts, so the resident board state never exceeds the budget.
         Replicas share no state across the batch, so the concatenated
         result is bit-identical to one unchunked pass (guarded by
-        ``tests/batch/test_batch_chunking.py``).
+        ``tests/batch/test_batch_chunking.py``).  The sub-batches do not
+        outlive the call, so a chunked runner runs once: a second call
+        raises instead of restarting replicas whose applications already
+        advanced.
         """
         check_positive_int(iterations, "iterations")
+        if self._iterations_done:
+            raise RuntimeError(
+                f"this BatchRunner runs in {self.num_chunks} chunks, which "
+                "cannot continue a previous run(); build a new runner, or "
+                "raise memory_budget_bytes so the batch runs unchunked"
+            )
+        self._iterations_done = iterations
         replicas: List[RunResult] = []
         for chunk, start in enumerate(range(0, self.num_replicas, self.chunk_size)):
             stop = min(start + self.chunk_size, self.num_replicas)
@@ -557,18 +517,24 @@ class BatchRunner:
         )
 
     def run(self, iterations: int) -> BatchResult:
-        """Execute ``iterations`` application iterations on every replica."""
+        """Execute ``iterations`` application iterations on every replica.
+
+        Iteration indices continue from earlier calls, so ``run(20)`` then
+        ``run(30)`` equals one ``run(50)``.
+        """
         if self.num_chunks > 1:
             return self._run_chunked(iterations)
         check_positive_int(iterations, "iterations")
         wall_start = wall_clock()
-        self._total_iterations = iterations
+        first = self._iterations_done
+        self._total_iterations = first + iterations
         R, P = self.num_replicas, self.num_pes
         state = self.state
         sync_cost = self.clusters[0].cost_model.collective(P, 8.0)
         flop_per_load = np.asarray(
             [app.flop_per_load_unit for app in self.applications], dtype=float
         )[:, None]
+        margins = self._trigger_margins
 
         lb_reports: List[List[LBStepReport]] = [[] for _ in range(R)]
         # Deferred per-iteration trace buffers (one bulk write per run
@@ -577,7 +543,6 @@ class BatchRunner:
         elapsed_buf = np.empty((R, iterations), dtype=float)
         timestamp_buf = np.empty((R, iterations), dtype=float)
 
-        fast_mode = self._trigger_fast_mode
         self._fill_columns()
         stripe_loads = self._stripe_loads_all()
 
@@ -588,7 +553,8 @@ class BatchRunner:
         if prof is not None:
             prof.loop_start()
 
-        for iteration in range(iterations):
+        for step in range(iterations):
+            iteration = first + step
             flop_per_pe = stripe_loads * flop_per_load
 
             # Line 10, batched: one bulk-synchronous compute phase of every
@@ -597,9 +563,9 @@ class BatchRunner:
             pe_times = flop_per_pe / state.speed
             start, end = state.compute_phase(pe_times, sync_cost)
             elapsed = end - start
-            pe_times_buf[:, iteration] = pe_times
-            elapsed_buf[:, iteration] = elapsed
-            timestamp_buf[:, iteration] = end
+            pe_times_buf[:, step] = pe_times
+            elapsed_buf[:, step] = elapsed
+            timestamp_buf[:, step] = end
             if prof is not None:
                 prof.stop("compute_step", t0)
                 t0 = prof.start()
@@ -632,66 +598,35 @@ class BatchRunner:
             # in one vectorized update.
             degradations = self.degradation.observe(elapsed)
 
-            # Line 16: the trigger decision diverges per replica.  For the
-            # degradation-trigger family, `degradation >= margin * avg
-            # cost` is a necessary firing condition (the ULBA overhead of
-            # Eq. 11 only raises the threshold), so one vectorized compare
-            # selects the candidate replicas and only those pay the full
-            # per-replica threshold (and context, if they fire); custom
-            # triggers get the generic per-replica path.  The LB step
-            # itself charges through the replica's cluster facade into the
-            # shared (R, P) state.
-            if fast_mode is not None:
-                base_thresholds = self._trigger_margins * self._avg_cost_buf
+            # Line 16, per replica: the replica's trigger decides on its own
+            # context, and a fired replica's LB step reuses that context.
+            # Only replicas that pass the degradation family's necessary
+            # condition ask (every replica when some trigger is another
+            # type).
+            if margins is not None:
                 candidates = np.flatnonzero(
                     (iteration > self._last_lb_arr)
-                    & (degradations >= base_thresholds)
+                    & (degradations >= margins * self._avg_cost_buf)
                 )
-                fired = []
-                # repro: noqa[FLOW-HOT] -- iterates only the trigger *candidates* (vectorized pre-filter above), at most R per iteration; not rare (LB fires on ~48% of iterations at the default scenario), but each candidate's ULBA threshold reads its own replica's scalar state
-                for r in candidates:
-                    r = int(r)
-                    threshold = float(base_thresholds[r])
-                    if fast_mode == "ulba":
-                        threshold = self._ulba_threshold(
-                            r, threshold, new_stripe_loads[r]
-                        )
-                    if self.degradation.degradation_of(r) >= threshold:
-                        fired.append(r)
-                np.copyto(stripe_loads, new_stripe_loads)
-                if prof is not None:
-                    prof.stop("lb_decide", t0)
-                # repro: noqa[FLOW-HOT] -- iterates only replicas whose trigger fired, at most R per iteration; LB fires on ~48% of iterations at the default scenario, and each step runs Algorithm 2's per-replica partition, which has no batched form
-                for r in fired:
-                    t0 = prof.start() if prof is not None else 0
-                    self._execute_lb_step(  # repro: noqa[FLOW-HOT] -- LB-step cadence: reached only for replicas whose degradation trigger fired
-                        r, iteration, new_stripe_loads, stripe_loads, lb_reports
-                    )
-                    if prof is not None:
-                        prof.stop("lb_apply", t0)
             else:
-                # repro: noqa[FLOW-HOT] -- generic-trigger fallback: custom trigger policies are per-replica Python objects; the vectorized fast path above covers the paper's trigger family
-                for r in range(R):
-                    context = self._build_context(r, iteration, new_stripe_loads[r])
-                    fire = self.trigger_policies[r].should_balance(context)
-                    if prof is not None:
-                        prof.stop("lb_decide", t0)
-                    if fire:
-                        t0 = prof.start() if prof is not None else 0
-                        self._execute_lb_step(  # repro: noqa[FLOW-HOT] -- LB-step cadence: reached only when the replica's trigger fired
-                            r,
-                            iteration,
-                            new_stripe_loads,
-                            stripe_loads,
-                            lb_reports,
-                            context=context,
-                        )
-                        if prof is not None:
-                            prof.stop("lb_apply", t0)
-                    else:
-                        stripe_loads[r] = new_stripe_loads[r]
-                    if prof is not None:
-                        t0 = prof.start()
+                candidates = range(R)
+            fired = []
+            # repro: noqa[FLOW-HOT] -- one should_balance call per trigger candidate, at most R per iteration; candidates almost always fire, and the fired replica's LB step needs the same context anyway
+            for r in candidates:
+                context = self._build_context(r, iteration, new_stripe_loads[r])
+                if self.trigger_policies[r].should_balance(context):
+                    fired.append((r, context))
+            np.copyto(stripe_loads, new_stripe_loads)
+            if prof is not None:
+                prof.stop("lb_decide", t0)
+            # repro: noqa[FLOW-HOT] -- iterates only replicas whose trigger fired, at most R per iteration; each step runs Algorithm 2's per-replica partition, which has no batched form
+            for r, context in fired:
+                t0 = prof.start() if prof is not None else 0
+                self._execute_lb_step(  # repro: noqa[FLOW-HOT] -- LB-step cadence: reached only for replicas whose trigger fired
+                    r, iteration, stripe_loads, lb_reports, context
+                )
+                if prof is not None:
+                    prof.stop("lb_apply", t0)
 
             if self._on_iteration is not None:
                 self._on_iteration(iteration, float(elapsed[0]))
@@ -708,7 +643,7 @@ class BatchRunner:
             trace.iterations.extend(
                 map(
                     IterationRecord,
-                    range(iterations),
+                    range(first, first + iterations),
                     elapsed_buf[r].tolist(),
                     map(tuple, pe_times_buf[r].tolist()),
                     timestamp_buf[r].tolist(),
@@ -722,6 +657,7 @@ class BatchRunner:
                     trigger_name=self.trigger_policies[r].name,
                 )
             )
+        self._iterations_done += iterations
         if self._on_chunk is not None:
             self._on_chunk(0, 1, R, wall_clock() - wall_start)
         return BatchResult(

@@ -142,30 +142,26 @@ class ULBADegradationTrigger(DegradationTrigger):
         self.alpha = alpha
         self.detector = detector or OverloadDetector()
 
-    def overhead(
-        self, n: int, num_pes: int, total_workload: float, pe_speed: float
-    ) -> float:
-        """Eq. 11's ULBA overhead with ``n`` of ``num_pes`` PEs overloading.
-
-        ``alpha n / (P - n) * Wtot / (omega P)``; 0 unless ``0 < n < P``.
-        """
-        if not 0 < n < num_pes:
-            return 0.0
-        return self.alpha * n / (num_pes - n) * total_workload / (pe_speed * num_pes)
-
     def _estimate_overhead(self, context: LBContext) -> float:
-        # Only the *number* of overloading PEs enters Eq. 11: count z-score
-        # exceedances within rank 0's view, read as a compacted array from
-        # a WIR database's lazy views (no dict) or in dict order from plain
-        # per-rank views; this runs every iteration, not just at LB steps.
+        """Eq. 11's ULBA overhead, ``alpha N / (P - N) * Wtot / (omega P)``.
+
+        Only the *number* ``N`` of overloading PEs enters: count z-score
+        exceedances within rank 0's view, read as a compacted array from a
+        WIR database's lazy views (no dict) or in dict order from plain
+        per-rank views.  0 unless ``0 < N < P``.
+        """
         views = context.wir_views
         if isinstance(views, LazyWIRViews):
             rates = views.known_values(0)
         else:
             rates = np.fromiter(context.wir_view_of(0).values(), dtype=float)
         n = self.detector.overloading_count(rates)
-        return self.overhead(
-            n, context.num_pes, context.total_workload, context.pe_speed
+        num_pes = context.num_pes
+        if not 0 < n < num_pes:
+            return 0.0
+        return (
+            self.alpha * n / (num_pes - n)
+            * context.total_workload / (context.pe_speed * num_pes)
         )
 
     def threshold(self, context: LBContext) -> float:

@@ -142,9 +142,10 @@ class IterativeRunner:
     """Algorithm 1 driver binding an application to the virtual cluster.
 
     A one-replica :class:`~repro.batch.runner.BatchRunner` (:attr:`engine`)
-    executes the loop on ``cluster`` itself: clocks, PE accounting, the
-    trace and the comm counters all advance on the caller's cluster, and
-    repeated :meth:`run` calls continue where the previous one stopped.
+    executes the loop on ``cluster`` itself: clocks, PE accounting and the
+    trace all advance on the caller's cluster, and repeated :meth:`run`
+    calls continue where the previous one stopped, iteration count
+    included (``run(20)`` then ``run(30)`` equals one ``run(50)``).
 
     Parameters
     ----------

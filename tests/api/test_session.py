@@ -246,19 +246,23 @@ class TestComponentSession:
 class TestRepeatedRuns:
     """A second ``run`` continues the first on the same cluster.
 
-    The numbers are pinned from the loop as it stood before the solo runner
-    became a one-replica batch; any drift means continuation changed.
+    The first run's numbers are pinned from the loop as it stood before the
+    solo runner became a one-replica batch; the two runs together must equal
+    one run of their summed length, record for record.
     """
 
-    def test_second_run_continues_the_first(self):
-        cfg = RunConfig(
+    @staticmethod
+    def _config():
+        return RunConfig(
             cluster=ClusterConfig(num_pes=16),
             policy=PolicyConfig("ulba", {"alpha": 0.4}),
             scenario=ScenarioConfig(
                 name="bursty", columns_per_pe=8, rows=16, iterations=25, seed=5
             ),
         )
-        session = Session.from_config(cfg)
+
+    def test_second_run_continues_the_first(self):
+        session = Session.from_config(self._config())
         events = []
         session.on("iteration", lambda e: events.append(("it", e.iteration, session.cluster.now)))
         session.on("lb_step", lambda e: events.append(("lb", e.iteration)))
@@ -268,25 +272,28 @@ class TestRepeatedRuns:
         first_now = session.cluster.now
         second = session.run()
         trace = session.cluster.trace
+        one_shot = Session.from_config(self._config()).run(50).run.trace
 
         assert (first_total, first_lb) == (24.407648392971325, 6)
         assert first_now == 24.407648392971325
-        # One trace accumulates both runs; iteration indices restart per run.
+        # One trace accumulates both runs, and it is the one-shot trace:
+        # iteration indices, clocks and LB events continue, bit for bit.
         assert second.run.trace is first.run.trace is trace
-        assert len(trace.iterations) == 50
-        assert [r.iteration for r in trace.iterations] == list(range(25)) * 2
-        # Clocks carry over: the second run starts where the first ended.
         assert trace.iterations[24].timestamp == first_now
-        assert trace.iterations[25].timestamp > first_now
-        assert trace.total_time == 62.08865605854943
-        assert trace.num_lb_calls == 7
-        assert trace.lb_iterations() == [8, 10, 12, 14, 19, 21, 23]
-        assert [r.iteration for r in second.run.lb_reports] == [23]
+        assert [r.iteration for r in trace.iterations] == list(range(50))
+        assert trace.iterations == one_shot.iterations
+        assert trace.lb_events == one_shot.lb_events
+        assert trace.total_time == one_shot.total_time
+        lb_iterations = one_shot.lb_iterations()
+        assert [r.iteration for r in second.run.lb_reports] == [
+            i for i in lb_iterations if i >= 25
+        ]
         # Events fire live: clocks advance between iteration events, and
         # each LB event precedes the iteration event of its iteration.
         clocks = [e[2] for e in events if e[0] == "it"]
         assert len(clocks) == 50
         assert all(b > a for a, b in zip(clocks, clocks[1:]))
+        assert [e[1] for e in events if e[0] == "it"] == list(range(50))
         lb_positions = [i for i, e in enumerate(events) if e[0] == "lb"]
-        assert [events[i][1] for i in lb_positions] == [8, 10, 12, 14, 19, 21, 23]
+        assert [events[i][1] for i in lb_positions] == lb_iterations
         assert all(events[i + 1][:2] == ("it", events[i][1]) for i in lb_positions)

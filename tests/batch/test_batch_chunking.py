@@ -101,6 +101,32 @@ class TestChunkedEquivalence:
         assert_batches_identical(chunked.run(ITERATIONS), full.run(ITERATIONS))
 
 
+class TestRepeatedRuns:
+    """A second ``run`` continues the batch, or refuses when chunked."""
+
+    def test_unchunked_split_run_equals_one_shot(self):
+        split = make_runner("ulba", True, None, None)
+        split.run(15)
+        second = split.run(ITERATIONS - 15)
+        one_shot = make_runner("ulba", True, None, None).run(ITERATIONS)
+        for mine, ref in zip(second.replicas, one_shot.replicas):
+            assert mine.trace.iterations == ref.trace.iterations
+            assert mine.trace.lb_events == ref.trace.lb_events
+            assert [r.iteration for r in mine.lb_reports] == [
+                r.iteration for r in ref.lb_reports if r.iteration >= 15
+            ]
+
+    def test_chunked_second_run_raises(self):
+        per_replica = BatchRunner._per_replica_board_bytes(NUM_PES, True, None)
+        chunked = make_runner("standard", True, None, 2 * per_replica + 1)
+        assert chunked.num_chunks == 3
+        chunked.run(10)
+        # The sub-batches are gone; rerunning would restart replicas whose
+        # applications already advanced 10 iterations.
+        with pytest.raises(RuntimeError, match="3 chunks"):
+            chunked.run(10)
+
+
 class TestSparseBatchVsSolo:
     """Sparse-gossip batch replicas stay bit-identical to solo sparse runs."""
 

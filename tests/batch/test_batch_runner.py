@@ -128,12 +128,12 @@ class TestBatchResult:
 
 
 class _PerReplicaULBATrigger(ULBADegradationTrigger):
-    """The ULBA trigger unchanged; as a subclass it routes the runner to the
-    generic path, which calls ``should_balance`` with a full context."""
+    """The ULBA trigger unchanged; as a subclass it turns the runner's
+    degradation prefilter off, so every replica asks ``should_balance``."""
 
 
 class TestTriggerFastPath:
-    """The vectorized trigger decision against ``should_balance`` itself."""
+    """The prefiltered trigger decision against asking every replica."""
 
     @staticmethod
     def _run(trigger_type, use_gossip):

@@ -23,10 +23,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.api import RunConfig, Session
+from repro.batch import BatchRunner
 from repro.erosion.app import ErosionApplication, ErosionConfig
 from repro.lb.adaptive import DegradationTrigger, ULBADegradationTrigger
+from repro.lb.registry import make_policy, make_trigger
 from repro.lb.standard import StandardPolicy
 from repro.lb.ulba import ULBAPolicy
 from repro.runtime.reference import (
@@ -189,6 +193,65 @@ class TestReferenceCoreEquivalence:
         assert vec.utilization_series() == pytest.approx(
             ref.utilization_series(), rel=0.0, abs=1e-12
         )
+
+
+#: Every registry trigger type the engine runs, with its workload policy.
+MIXED_TRIGGERS = {
+    "degradation": "standard",
+    "ulba-degradation": "ulba",
+    "periodic": "standard",
+    "menon-interval": "standard",
+    "never": "standard",
+}
+
+
+class TestMixedTriggerReferenceEquivalence:
+    """Each replica of a mixed-trigger batch == the frozen loop of its seed.
+
+    A batch whose triggers are all degradation triggers asks only the
+    replicas that pass the vectorized necessary condition; any other type
+    makes every replica ask.  Both paths, and any mix of trigger types in
+    one batch, must reproduce the reference loop replica by replica.
+    """
+
+    @given(
+        triggers=st.lists(st.sampled_from(sorted(MIXED_TRIGGERS)), min_size=1, max_size=5),
+        app_name=st.sampled_from(sorted(CASES)),
+        use_gossip=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property_replicas_match_reference(self, triggers, app_name, use_gossip, seed):
+        num_pes, iterations = CASES[app_name]["num_pes"], 40
+        apps = [make_app(app_name) for _ in triggers]
+        prior = initial_lb_cost_prior(
+            apps[0].total_load() * apps[0].flop_per_load_unit, num_pes, 1.0e9
+        )
+        seeds = [seed + r for r in range(len(triggers))]
+        batch = BatchRunner(
+            num_pes,
+            apps,
+            seeds=seeds,
+            workload_policies=[make_policy(MIXED_TRIGGERS[t]) for t in triggers],
+            trigger_policies=[make_trigger(t) for t in triggers],
+            use_gossip=use_gossip,
+            initial_lb_cost_estimates=prior,
+        ).run(iterations)
+        for name, replica_seed, vec in zip(triggers, seeds, batch.replicas):
+            ref = ReferenceIterativeRunner(
+                ReferenceVirtualCluster(num_pes),
+                make_app(app_name),
+                workload_policy=make_policy(MIXED_TRIGGERS[name]),
+                trigger_policy=make_trigger(name),
+                use_gossip=use_gossip,
+                initial_lb_cost_estimate=prior,
+                seed=replica_seed,
+                batched_gossip_targets=True,
+            ).run(iterations)
+            assert vec.trace.lb_iterations() == ref.trace.lb_iterations()
+            for attr in ("total_time", "iteration_time", "lb_cost_time"):
+                assert getattr(vec.trace, attr) == pytest.approx(
+                    getattr(ref.trace, attr), rel=1e-12, abs=0.0
+                )
 
 
 class TestSessionFacadeEquivalence:
