@@ -11,7 +11,7 @@ Paper series:
   LB calls.
 
 Reproduction scale: the domain is shrunk to 96 x 96 cells per PE and the run
-to 80 iterations (see EXPERIMENTS.md); the PE axis covers 16-64 virtual PEs.
+to 80 iterations; the PE axis covers 16-64 virtual PEs.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ caller's own cluster.
 * the per-PE state is one ``(R, P)``
   :class:`~repro.simcluster.pe.PEStateArrays` -- a compute phase is one
   matrix operation for every replica at once;
-* the ``R`` gossip boards live in one ``(R, P, P)``
-  :class:`~repro.simcluster.gossip.BatchGossipBoard` with a stacked
-  per-round peer selection and one freshest-version merge per replica;
+* the ``R`` gossip boards live in one ``(R, P, P)`` version matrix plus a
+  publish log (:class:`~repro.simcluster.gossip.BatchGossipBoard`) with a
+  stacked per-round peer selection and one freshest-version merge over
+  every replica;
 * the ``R * P`` WIR estimators update in one batched EMA
   (:class:`~repro.lb.wir.WIREstimateArray` with ``replicas=R``).
 
@@ -31,9 +32,9 @@ and the frozen loop of :mod:`repro.runtime.reference` plus the golden
 fixtures pin that the numbers are the historical ones.
 
 **Memory model.**  The dominant state of a dense-gossip batch is the
-``(R, P, P)`` board -- 16 bytes per entry, so 16 replicas at ``P = 1024``
-already need 256 MiB of board alone and the batch engine would fall off a
-memory cliff long before the CPU saturates.  Two escape hatches compose:
+``(R, P, P)`` board -- budgeted at 16 bytes per entry, so 16 replicas at
+``P = 1024`` already need 256 MiB of board alone and the batch engine would
+fall off a memory cliff long before the CPU saturates.  Two escape hatches compose:
 
 * ``gossip_config=GossipConfig(mode="sparse", ...)`` swaps the quadratic
   board for per-replica memory-bounded sparse boards
@@ -255,16 +256,19 @@ class BatchRunner:
         """Peak gossip-state bytes one replica adds to the batch.
 
         Dense gossip costs ``P * P * 32`` bytes per replica: the resident
-        ``(R, P, P)`` value/version board (16 bytes per entry) **plus** the
-        equally quadratic per-round transients of
+        board, budgeted at 16 bytes per entry (an int64 version plus the
+        publish log, see
+        :meth:`~repro.simcluster.gossip.GossipConfig.board_nbytes`),
+        **plus** the equally quadratic per-round transients of
         :meth:`~repro.simcluster.gossip.BatchGossipBoard.step` -- the
-        stacked ``(R, P, P)`` float64 key draw and the ``(R, P, P)`` int64
-        shift-packed versions allocate another 16 bytes per entry at the
-        peak of every dissemination round, so budgeting the board alone
-        would overshoot the requested ceiling by ~2x.  Sparse gossip is the
-        resident ``P * view_size * 24`` (its merge transients are one
-        replica's worth regardless of ``R``: sparse boards step
-        sequentially); instant dissemination keeps only ``(R, P)`` rows.
+        stacked ``(R, P, P)`` float64 target-key draw, then the merge's two
+        int64 buffers of one row per receiving rank -- up to another 16
+        bytes per entry at the peak of every dissemination round, so
+        budgeting the board alone could overshoot the requested ceiling.
+        Sparse gossip is the resident ``P * view_size * 24`` (its merge
+        transients are one replica's worth regardless of ``R``: sparse
+        boards step sequentially); instant dissemination keeps only
+        ``(R, P)`` rows.
         Buffers proportional to ``R * columns`` are excluded -- the budget
         targets the quadratic cliff.
         """

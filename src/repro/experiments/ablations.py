@@ -230,8 +230,9 @@ def run_lb_cost_sensitivity(
 
     One :class:`AblationResult` per migration-cost setting, each containing a
     standard and a ULBA case.  The more expensive the LB step, the more
-    valuable anticipating the imbalance becomes -- the knob EXPERIMENTS.md
-    documents as the main fidelity lever of the Figure 4 reproduction.
+    valuable anticipating the imbalance becomes -- the main fidelity lever
+    of the Figure 4 reproduction (``docs/paper-map.md`` maps Fig. 4 to its
+    driver).
     """
     s = scenario or ErosionScenario()
     if not bytes_per_load_unit:

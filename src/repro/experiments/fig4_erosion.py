@@ -27,8 +27,8 @@ adaptive triggers are unchanged.  The interconnect parameters (latency,
 bandwidth, bytes migrated per unit of cell workload) are chosen so the cost
 of one LB step sits in the same "a few iterations" regime as the paper's
 centralized technique, which is what makes anticipating the imbalance
-profitable; see EXPERIMENTS.md for the sensitivity of the result to these
-choices.
+profitable; :func:`repro.experiments.ablations.run_lb_cost_sensitivity`
+measures how the result depends on the migration cost.
 """
 
 from __future__ import annotations

@@ -7,30 +7,47 @@ the other PEs using a dissemination (gossip) algorithm; one dissemination
 step is performed per application iteration, and the principle of
 persistence makes slightly stale values acceptable.
 
-The dense board reproduces that mechanism on flat array state: the whole
-replicated database is a pair of ``(P, P)`` matrices -- ``values`` and
-``versions`` -- where row ``r`` is the view of rank ``r`` and column ``s``
-holds what ``r`` knows about source rank ``s`` (version ``-1`` = unknown).
-One round performs the entire synchronous push with a single batched RNG
-draw and a vectorized freshest-version merge, instead of per-rank ``dict``
-snapshot/merge loops.
+The dense board reproduces that mechanism on flat array state.  A gossip
+entry is a (value, timestamp) pair whose timestamp alone decides the merge,
+so the replicated database is a ``(P, P)`` *version* matrix -- row ``r`` is
+the view of rank ``r``, column ``s`` the version ``r`` holds of source rank
+``s`` (``-1`` = unknown) -- plus a *publish log* that stores each published
+``(P,)`` row of values once, under its version.  One round performs the
+entire synchronous push with a single batched RNG draw and a merge of
+versions only; values are looked up in the log when a view is read.
 
 Version tie-break rule (applied consistently):
 
 * **freshest wins** -- a merged entry only overwrites a strictly older one;
-  on equal versions the receiver keeps what it has (copies of the same
-  ``(source, version)`` pair carry the same value, so this is value-neutral);
+  on equal versions the receiver keeps what it has;
 * **self-publish always wins ties** -- a rank re-publishing its own value at
   an unchanged version replaces its local entry, so the latest published
   value is what starts propagating.
 
+Copies of one ``(source, version)`` pair carry the same value unless the
+owner re-published at that version after an earlier copy had already
+spread.  The dense board tells such copies apart by a *generation* that
+counts those re-publishes: its matrix holds the key ``(version << (G + 1))
+| generation`` (a negative key marks an unknown entry), and a receiver
+that adopts an entry takes the largest incoming key -- so among
+conflicting equal-version copies arriving in one round, the latest
+re-publish wins.  The bit between version and generation is zero in the
+matrix; a merge sets it on the receiver's own keys, which makes them win
+version ties in a plain ``np.maximum``.  A re-publish before its copy
+spread replaces that copy in place, and a rank that holds a copy keeps it
+while the version stands, so every generation but the last is held by a
+different rank: generations stay below ``P`` and ``G`` is the bit width of
+``P - 1``.  Versions must stay below ``2**(62 - G)`` (``2**54`` at ``P =
+256``); :meth:`GossipBoard.publish` raises ``ValueError`` beyond.
+
 Two board implementations share those semantics:
 
 * the **dense** board: :class:`BatchGossipBoard` stores ``R`` independent
-  boards as one ``(R, P, P)`` pair and steps them together, and
-  :class:`GossipBoard` is one replica of it (a standalone ``GossipBoard``
-  is a batch of one).  ``O(P^2)`` memory per replica, and every rank
-  eventually knows every value.  The right choice up to a few hundred PEs.
+  boards as one ``(R, P, P)`` version matrix plus one publish log and steps
+  them together, and :class:`GossipBoard` is one replica of it (a
+  standalone ``GossipBoard`` is a batch of one).  ``O(P^2)`` memory per
+  replica, and every rank eventually knows every value.  The right choice
+  up to a few hundred PEs.
 * :class:`SparseGossipBoard` -- the **memory-bounded** board for the large-P
   regime (P >= 1024): each rank keeps at most ``view_size`` entries
   (``O(P * view_size)`` memory total), pushes along a configurable topology
@@ -80,6 +97,9 @@ GOSSIP_MODES = ("dense", "sparse")
 #: them too (``random`` keeps its historical batched ``(P, P)`` draw).
 GOSSIP_TOPOLOGIES = ("random", "ring", "hypercube")
 
+#: Publish-log rows allocated up front (the log doubles when full).
+_LOG_ROWS = 16
+
 
 @dataclass(frozen=True)
 class GossipConfig:
@@ -124,11 +144,16 @@ class GossipConfig:
     def board_nbytes(self, num_ranks: int) -> int:
         """Steady-state bytes of one board's value/version state at ``P`` ranks.
 
-        Dense: ``P * P * 16`` (one float64 + one int64 per entry).  Sparse:
-        ``P * M * 24`` (source + value + version per retained entry, ``M``
-        the effective view size).  This is what the batch engine's replica
-        chunking and the large-P benchmarks budget against; transient
-        per-round merge buffers are not included.
+        Dense: ``P * P * 16``, the budget: one int64 version per entry
+        (``P * P * 8``) plus up to ``P`` publish-log rows of ``P`` float64
+        values.  The log keeps one row per live version, about as many as
+        the stalest entry is old (10 rows at ``P = 256`` and 12 at ``P =
+        1024`` when every rank publishes once per round), so a board
+        measures a little over half its budget.  Sparse: ``P * M * 24``
+        (source + value + version per retained entry, ``M`` the effective
+        view size).  This is what the batch engine's replica chunking and
+        the large-P benchmarks budget against; transient per-round merge
+        buffers are not included.
         """
         check_positive_int(num_ranks, "num_ranks")
         if self.mode == "sparse":
@@ -145,8 +170,10 @@ class KnownRows(NamedTuple):
     ``own[r]`` is the value ``r`` published for itself, meaningful only
     where ``has_own[r]``.  A view that every rank shares (instant
     dissemination) may be given once: ``values`` is then that one row and
-    every ``counts[r]`` its length.  The arrays may share memory with the
-    board: read-only.
+    every ``counts[r]`` its length.  The dense board gathers fresh arrays
+    from its publish log on every call; other producers (the sparse board's
+    ``own``, an instant WIR database) may share memory with their state:
+    read-only.
     """
 
     values: np.ndarray
@@ -328,9 +355,10 @@ class _PushBoard:
 class GossipBoard(_PushBoard):
     """Replicated ``rank -> value`` board maintained by push gossip.
 
-    One replica of a dense :class:`BatchGossipBoard`: the ``(P, P)`` value
-    and version matrices are views of that replica's slice of the batch
-    state.  A standalone ``GossipBoard(P, seed=s)`` is a batch of one;
+    One replica of a dense :class:`BatchGossipBoard`: the ``(P, P)`` version
+    matrix is a view of that replica's slice of the batch state, and values
+    are read from the batch's publish log.  A standalone
+    ``GossipBoard(P, seed=s)`` is a batch of one;
     :meth:`BatchGossipBoard.replica` hands out the views of a wider batch,
     which read and publish but do not :meth:`step` on their own (the batch
     steps every replica together).
@@ -356,10 +384,10 @@ class GossipBoard(_PushBoard):
         self._replica = replica
         self.num_ranks = batch.num_ranks
         self.config = batch.config
-        #: ``values[r, s]`` / ``versions[r, s]``: what rank ``r`` knows about
-        #: source rank ``s``; version -1 marks an unknown entry.
-        self._values = batch._values[replica]
-        self._versions = batch._versions[replica]
+        #: ``keys[r, s]``: the key (version and generation, see the module
+        #: docstring) of what rank ``r`` knows about source rank ``s``; a
+        #: negative key marks an unknown entry.
+        self._keys = batch._keys[replica]
         # Completeness is monotone (versions never regress), so the check is
         # cached once it first succeeds.
         self._complete = False
@@ -377,14 +405,17 @@ class GossipBoard(_PushBoard):
         later always win over older ones when views merge.  A self-publish
         at the *same* version also wins (ties go to the owner), so the
         latest value published within a step is the one disseminated.
-        Explicit versions must be >= 0 (-1 is the internal "unknown"
-        sentinel).
+        Explicit versions must be >= 0 (negative keys mark unknown entries)
+        and below ``2**(62 - G)``, ``G`` the bit width of ``P - 1`` (see the
+        module docstring).
         """
         self._check_rank(rank)
-        v = self._version(version)
-        if v >= self._versions[rank, rank]:
-            self._values[rank, rank] = float(value)
-            self._versions[rank, rank] = v
+        self._batch._publish(
+            np.array([self._replica]),
+            np.array([rank]),
+            np.array([[float(value)]]),
+            self._version(version),
+        )
 
     def publish_all(
         self, values: np.ndarray, *, version: Optional[int] = None
@@ -395,15 +426,19 @@ class GossipBoard(_PushBoard):
         single diagonal write instead of ``P`` Python calls.
         """
         values = self._rank_values(values)
-        rows = slice(self._replica, self._replica + 1)
-        self._batch._publish_rows(rows, values[None], self._version(version))
+        self._batch._publish(
+            np.array([self._replica]),
+            np.arange(self.num_ranks),
+            values[None],
+            self._version(version),
+        )
 
     def local_view(self, rank: int) -> Dict[int, float]:
         """The values rank ``rank`` currently knows, keyed by source rank."""
         self._check_rank(rank)
-        known = np.flatnonzero(self._versions[rank] >= 0)
-        row = self._values[rank]
-        return {int(src): float(row[src]) for src in known}
+        known = np.flatnonzero(self._keys[rank] >= 0)
+        values = self._batch._logged(self._replica, self._keys[rank, known], known)
+        return dict(zip(known.tolist(), values.tolist()))
 
     def known_values_row(self, rank: int) -> np.ndarray:
         """The values ``rank`` knows, compacted in ascending source order.
@@ -412,27 +447,35 @@ class GossipBoard(_PushBoard):
         dictionary.
         """
         self._check_rank(rank)
-        return self._values[rank][self._versions[rank] >= 0]
+        known = np.flatnonzero(self._keys[rank] >= 0)
+        return self._batch._logged(self._replica, self._keys[rank, known], known)
 
     def known_rows(self) -> KnownRows:
         """Every rank's :meth:`known_values_row` at once, as :class:`KnownRows`.
 
-        A complete board hands out its value matrix without a copy.
+        One gather of the whole ``(P, P)`` view from the publish log; an
+        incomplete board then drops its unknown entries.
         """
+        num_ranks = self.num_ranks
+        values = self._batch._logged(self._replica, self._keys, np.arange(num_ranks))
+        has_own = self._keys.diagonal() >= 0
+        own = np.where(has_own, values.diagonal(), 0.0)
         if self.is_complete():
-            values = self._values.reshape(-1)
-            counts = np.full(self.num_ranks, self.num_ranks)
-        else:
-            known = self._versions >= 0
-            values, counts = self._values[known], np.count_nonzero(known, axis=1)
+            return KnownRows(
+                values.reshape(-1), np.full(num_ranks, num_ranks), own, has_own
+            )
+        known = self._keys >= 0
         return KnownRows(
-            values, counts, self._values.diagonal(), self._versions.diagonal() >= 0
+            np.compress(known.reshape(-1), values.reshape(-1)),
+            np.count_nonzero(known, axis=1),
+            own,
+            has_own,
         )
 
     def is_complete(self) -> bool:
         """True when every rank knows a value for every other rank."""
         if not self._complete:
-            self._complete = bool((self._versions >= 0).all())
+            self._complete = bool((self._keys >= 0).all())
         return self._complete
 
     # ------------------------------------------------------------------
@@ -586,9 +629,9 @@ class SparseGossipBoard(_PushBoard):
         """One synchronous push round: select targets, merge, evict.
 
         All pushes of a round see the views at the start of the round, like
-        the dense board.  The whole round is a constant number of array
-        passes over ``O(P * fanout * view_size)`` candidate entries -- no
-        ``(P, P)`` operand is ever formed.
+        the dense board.  The whole round is a few row-wise array passes
+        per push count over ``O(P * fanout * view_size)`` candidate entries
+        -- no ``(P, P)`` operand is ever formed.
         """
         if self.num_ranks > 1:
             if self.config.topology == "random":
@@ -620,99 +663,117 @@ class SparseGossipBoard(_PushBoard):
     def _merge(self, push_src: np.ndarray, push_dst: np.ndarray) -> None:
         """Freshest-version merge + bounded eviction of one round's pushes.
 
-        Candidate entries are every receiver's current slots plus every
-        slot of each pushed view.  Per ``(receiver, source)`` pair the
+        A receiver's candidate entries are its current slots plus every
+        slot of each view pushed to it.  Per ``(receiver, source)`` pair the
         freshest version survives, with the receiver's existing entry
         winning ties (value-neutral, as on the dense board; among pushed
         copies of one version the later push wins).  Per receiver, the own
         entry is pinned to slot 0 and the freshest ``view_size - 1`` other
         entries fill slots ``1..`` in ``(-version, source)`` order (version
-        ties evict higher source ranks first).
+        ties evict higher source ranks first).  A receiver no push reaches
+        keeps its view: views are always stored in that order.
 
-        Each of the two orderings is one ``np.sort`` of a packed int64 key
-        that carries the candidate's index in its low bits, like the dense
-        board's shift-packing.  The dedupe key is ``(receiver, source,
-        version, existing, index)``; the last key of each ``(receiver,
-        source)`` run wins.  The eviction key is ``(receiver, not own, vmax
-        - version, source, index)``; the first ``view_size`` keys of each
-        receiver fill its slots.  Versions enter the keys as offsets from
-        the round's minimum version.  When explicit publishes spread them
-        too far for 63 bits, each version is replaced by its rank among the
-        round's distinct versions, which sorts the same.
+        Receivers that get the same number ``c`` of pushes merge together,
+        one row of ``(c + 1) * view_size`` candidates each: the own view,
+        then the pushed views in push order.  The dedupe is one row-wise
+        ``np.sort`` of the packed int64 key ``(source, version, existing,
+        column)``: the last key of each source run wins.  The survivors'
+        eviction key is ``(vmax - version, position)`` -- the sorted
+        position breaks version ties by source -- and a second row-wise
+        sort puts the first ``view_size - 1`` into slots ``1..``.
+        Versions enter the keys as offsets from the round's minimum
+        version.  When explicit publishes spread them too far for 62 bits,
+        each version is replaced by its rank among the round's distinct
+        versions, which sorts the same.
 
-        Unknown slots take part as candidates too.  A receiver's own slot 0
-        (version -1 until it publishes) always stands for its own pair, so
-        every receiver's run starts with its own entry.  Every other
-        unknown slot enters as source -1 and sorts after every known entry;
-        copying one into a slot writes exactly the empty state.
+        Sources enter the dedupe key as ``source + 1``, and an unknown
+        slot as 0.  A merge never changes a receiver's own slot (no copy
+        of it is newer), so the own source's run, like the unknown run, is
+        dropped; the slots a row does not fill are empty.
         """
         num_ranks, m = self.num_ranks, self.view_size
-        num_blocks = num_ranks + push_src.size
-        # Candidate i is slot i % m of block i // m: blocks 0..P-1 are the
-        # receivers' current views, block P + e the view push e carries.
-        block_row = np.concatenate([np.arange(num_ranks), push_src])
-        block_recv = np.concatenate([np.arange(num_ranks), push_dst])
+        order = np.argsort(push_dst, kind="stable")
+        pushers = push_src[order]
+        counts = np.bincount(push_dst, minlength=num_ranks)
+        starts = np.cumsum(counts) - counts
 
-        sbits = num_ranks.bit_length()  # sources enter as source + 1 >= 0
-        ibits = (num_blocks * m - 1).bit_length()
-        fixed_bits = 2 * sbits + 1 + ibits
+        sbits = num_ranks.bit_length()
+        mbits = (m - 1).bit_length()  # a column is (view << mbits) | slot
+        cbits = (((int(counts.max()) + 1) << mbits) - 1).bit_length()
         vmin, vmax = int(self._ver.min()), int(self._ver.max())
         ver = self._ver - vmin
         span = vmax - vmin
-        if fixed_bits + span.bit_length() > 63:
+        if sbits + 1 + cbits + span.bit_length() > 62:
             distinct, ver = np.unique(self._ver, return_inverse=True)
             ver = ver.reshape(self._ver.shape)
             span = distinct.size - 1
-            if fixed_bits + span.bit_length() > 63:
+            if sbits + 1 + cbits + span.bit_length() > 62:
                 raise ValueError(
-                    f"{num_ranks} ranks x {num_blocks * m} merge candidates do "
-                    "not fit a 63-bit merge key"
+                    f"{num_ranks} ranks x {(int(counts.max()) + 1) * m} merge "
+                    "candidates do not fit a 62-bit merge key"
                 )
         vbits = span.bit_length()
-        rshift = sbits + vbits + 1 + ibits  # the receiver field, both keys
-        imask = (1 << ibits) - 1
+        fshift = vbits + 1 + cbits  # the source field
 
-        # Dedupe on (receiver, source, version, existing, index): the last
-        # key of each (receiver, source) run is the freshest entry, the
-        # receiver's own copy on version ties, else the latest push.
-        board_key = (self._src + 1) * (self._ver >= 0) << (vbits + 1 + ibits)
-        board_key |= ver << (1 + ibits)
-        key = board_key[block_row].reshape(-1)
-        key |= np.repeat(block_recv << rshift, m)
-        key[: num_ranks * m] |= 1 << ibits  # the existing bit
-        # A receiver's own slot keeps its source while it is still unknown.
-        key[: num_ranks * m : m] |= np.arange(1, num_ranks + 1) << (vbits + 1 + ibits)
-        key |= np.arange(key.size)
-        key.sort()
-        pair = key >> (vbits + 1 + ibits)
-        last = np.empty(key.size, dtype=bool)
-        last[-1] = True
-        np.not_equal(pair[1:], pair[:-1], out=last[:-1])
-        key = key[last]
+        # Per-slot dedupe keys: rows 0..P-1 as pushed copies, rows P..2P-1
+        # as the receivers' own views (the existing bit set).
+        keys = np.empty((2 * num_ranks, m), dtype=np.int64)
+        pushed, own = keys[:num_ranks], keys[num_ranks:]
+        np.multiply(self._src + 1, self._ver >= 0, out=pushed)
+        pushed <<= fshift
+        pushed |= ver << (1 + cbits)
+        pushed |= np.arange(m)
+        np.bitwise_or(pushed, 1 << cbits, out=own)
 
-        # Evict on (receiver, not own, vmax - version, source, index).
-        recv = key >> rshift
-        src = (key >> (vbits + 1 + ibits)) & ((1 << sbits) - 1)
-        ver = (key >> (1 + ibits)) & ((1 << vbits) - 1)
-        key &= ~((1 << rshift) - 1) | imask
-        key |= (src != recv + 1).astype(np.int64) << (vbits + sbits + ibits)
-        key |= (span - ver) << (sbits + ibits)
-        key |= src << ibits
-        key.sort()
-        counts = np.bincount(key >> rshift, minlength=num_ranks)
-        slot = np.arange(key.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        keep = slot < m
-        key = key[keep]
-        slots = (key >> rshift) * m + slot[keep]
-        block, offset = np.divmod(key & imask, m)
-        kept = block_row[block] * m + offset
-
-        new_src = np.full((num_ranks, m), -1, dtype=np.int64)
-        new_val = np.zeros((num_ranks, m), dtype=float)
-        new_ver = np.full((num_ranks, m), -1, dtype=np.int64)
-        new_src.reshape(-1)[slots] = ((key >> ibits) & ((1 << sbits) - 1)) - 1
-        new_val.reshape(-1)[slots] = self._val.reshape(-1)[kept]
-        new_ver.reshape(-1)[slots] = self._ver.reshape(-1)[kept]
+        # The pre-round views, flat, plus one empty cell for unfilled slots.
+        empty = num_ranks * m
+        src_flat = np.append(self._src, -1)
+        val_flat = np.append(self._val, 0.0)
+        ver_flat = np.append(self._ver, -1)
+        new_src, new_val, new_ver = self._src.copy(), self._val.copy(), self._ver.copy()
+        for c in np.unique(counts[counts > 0]).tolist():
+            recv = np.flatnonzero(counts == c)
+            width = (c + 1) * m
+            pbits = (width - 1).bit_length()
+            rows = np.empty((recv.size, c + 1), dtype=np.int64)
+            rows[:, 0] = recv + num_ranks  # the own view's key row
+            rows[:, 1:] = pushers[starts[recv, None] + np.arange(c)]
+            dedupe = keys.take(rows, axis=0)
+            rows[:, 0] = recv
+            dedupe[:, 1:] += (np.arange(1, c + 1) << mbits)[:, None]
+            dedupe = dedupe.reshape(-1, width)
+            dedupe.sort(axis=1)
+            source = dedupe >> fshift
+            dead = np.empty(dedupe.shape, dtype=bool)
+            dead[:, -1] = False
+            np.equal(source[:, 1:], source[:, :-1], out=dead[:, :-1])
+            dead |= source == 0
+            dead |= source == (recv + 1)[:, None]
+            # Eviction key (dead, vmax - version, position): dead sorts last.
+            fresh = dedupe >> (1 + cbits)
+            fresh &= (1 << vbits) - 1
+            np.subtract(span, fresh, out=fresh)
+            evict = dead.astype(np.int64)
+            evict <<= vbits
+            evict |= fresh
+            evict <<= pbits
+            evict |= np.arange(width)
+            evict.sort(axis=1)
+            evict = evict[:, : m - 1]
+            filled = evict < 1 << (vbits + pbits)
+            evict &= (1 << pbits) - 1
+            evict += np.arange(0, dedupe.size, width)[:, None]
+            column = dedupe.take(evict)
+            view = column >> mbits
+            view &= (1 << (cbits - mbits)) - 1
+            view += np.arange(0, rows.size, c + 1)[:, None]
+            pos = rows.take(view)
+            pos *= m
+            pos += column & ((1 << mbits) - 1)
+            pos[~filled] = empty
+            new_src[recv, 1:] = src_flat[pos]
+            new_val[recv, 1:] = val_flat[pos]
+            new_ver[recv, 1:] = ver_flat[pos]
         self._src, self._val, self._ver = new_src, new_val, new_ver
 
 
@@ -723,9 +784,17 @@ class BatchGossipBoard(_PushBoard):
     execution engine (:mod:`repro.batch`) runs ``R`` seeded replicas of one
     configuration, each with an independent board and its own RNG stream,
     and a standalone :class:`GossipBoard` is a batch of one.  All replicas
-    are stored as one ``(R, P, P)`` value/version pair and the per-round
+    are stored as one ``(R, P, P)`` key matrix (version and generation per
+    entry, see the module docstring) and one publish log, and the per-round
     work -- target selection and the freshest-version merge -- runs as
     batched array operations over every replica at once.
+
+    The log is shared by the replicas: row ``i`` has one key,
+    ``_log_keys[i]``, and holds at ``_log_values[q, i, s]`` the value
+    source ``s`` of replica ``q`` published under it.  Its rows are sorted
+    by key.  After each round, rows older than the oldest key any entry
+    still holds are dropped, and a log that outgrows ``P`` rows is
+    compacted to the rows some entry holds.
 
     Each replica's peer selection consumes its own generator (one ``(P,
     P)`` uniform draw per round, like :func:`select_push_targets`), so
@@ -757,12 +826,23 @@ class BatchGossipBoard(_PushBoard):
         self.num_replicas = len(seeds)
         self.config = config or GossipConfig()
         self._rngs: List[np.random.Generator] = [ensure_rng(s) for s in seeds]
-        self._values = np.zeros(
-            (self.num_replicas, num_ranks, num_ranks), dtype=float
-        )
-        self._versions = np.full(
+        #: A key is ``(version << shift) | generation`` with the tie bit
+        #: ``1 << (shift - 1)`` between them (see the module docstring).
+        self._shift = max(1, (num_ranks - 1).bit_length()) + 1
+        self._tie = 1 << (self._shift - 1)
+        self._keys = np.full(
             (self.num_replicas, num_ranks, num_ranks), -1, dtype=np.int64
         )
+        self._log_keys = np.empty(_LOG_ROWS, dtype=np.int64)
+        self._log_values = np.zeros((self.num_replicas, _LOG_ROWS, num_ranks))
+        self._log_len = 0
+        #: Row count above which a round compacts the log.
+        self._log_limit = num_ranks
+        #: Whether any key has a generation above 0 (then reads search the
+        #: log instead of indexing it by version).
+        self._bumped = False
+        #: Row offset of each replica's block in the stacked key matrix.
+        self._row_offsets = np.arange(self.num_replicas)[:, None] * num_ranks
         self._steps = 0
         self._replicas = [
             GossipBoard._view(self, r) for r in range(self.num_replicas)
@@ -789,15 +869,93 @@ class BatchGossipBoard(_PushBoard):
             raise ValueError(
                 f"values must be (replicas, ranks) = {expected}, got {values.shape}"
             )
-        self._publish_rows(slice(None), values, self._version(version))
+        self._publish(
+            np.arange(self.num_replicas),
+            np.arange(self.num_ranks),
+            values,
+            self._version(version),
+        )
 
-    def _publish_rows(self, rows: slice, values: np.ndarray, v: int) -> None:
-        """Self-publish ``values`` (one row per replica in ``rows``) at ``v``."""
-        diag = np.arange(self.num_ranks)
-        board_values, board_versions = self._values[rows], self._versions[rows]
-        rep_idx, rank_idx = np.nonzero(v >= board_versions[:, diag, diag])
-        board_values[rep_idx, rank_idx, rank_idx] = values[rep_idx, rank_idx]
-        board_versions[rep_idx, rank_idx, rank_idx] = v
+    def _publish(
+        self, reps: np.ndarray, ranks: np.ndarray, values: np.ndarray, v: int
+    ) -> None:
+        """Rank ``ranks[j]`` of replica ``reps[i]`` self-publishes ``values[i, j]``.
+
+        An older own entry (or none) takes key ``v << shift``.  At an unchanged
+        version the key stays -- the value is overwritten in place -- unless
+        the copy has already spread to another rank; then the generation is
+        bumped so the new value is told apart from the spread one.  A newer
+        own entry ignores the publish.
+        """
+        shift = self._shift
+        if v >= 1 << (63 - shift):
+            raise ValueError(
+                f"version must be < 2**{63 - shift} on a dense board of "
+                f"{self.num_ranks} ranks, got {v}"
+            )
+        own_cells = (reps[:, None], ranks, ranks)
+        own = self._keys[own_cells]
+        old = own >> shift
+        new = np.maximum(own, v << shift)  # a newer own entry stays
+        if (old == v).any():
+            i, j = np.nonzero(old == v)
+            held = self._keys[reps[i], :, ranks[j]] == own[i, j, None]
+            spread = np.count_nonzero(held, axis=1) > 1
+            new[i[spread], j[spread]] += 1
+            self._bumped |= bool(spread.any())
+        accept = old <= v
+        for key in set(new[accept].tolist()):  # one key unless re-publishing
+            row = self._log_row(key)
+            i, j = np.nonzero(accept & (new == key))
+            self._log_values[reps[i], row, ranks[j]] = values[i, j]
+        self._keys[own_cells] = new
+
+    def _log_row(self, key: int) -> int:
+        """Index of ``key``'s log row, inserted in key order if missing."""
+        n = self._log_len
+        keys = self._log_keys[:n]
+        pos = n if n == 0 or key > keys[-1] else int(np.searchsorted(keys, key))
+        if pos < n and keys[pos] == key:
+            return pos
+        if n == self._log_keys.size:  # full: double the capacity
+            self._log_keys = np.resize(self._log_keys, 2 * n)
+            self._log_values = np.concatenate(
+                [self._log_values, np.zeros_like(self._log_values)], axis=1
+            )
+        self._log_keys[pos + 1 : n + 1] = self._log_keys[pos:n]
+        self._log_values[:, pos + 1 : n + 1] = self._log_values[:, pos:n]
+        self._log_keys[pos] = key
+        self._log_len = n + 1
+        return pos
+
+    def _logged(
+        self, replica: int, keys: np.ndarray, sources: np.ndarray
+    ) -> np.ndarray:
+        """The logged values of ``replica``'s entries ``keys`` of ``sources``.
+
+        ``keys`` and ``sources`` broadcast together; an unknown entry
+        (negative key) reads an arbitrary logged value, for the caller to
+        drop.  While the
+        log's keys are consecutive versions of generation 0 -- always, in a
+        run that publishes every rank once per round -- a key's row is its
+        version's offset from the first row's; otherwise a binary search
+        finds it.  The values come from one flat ``take``.
+        """
+        log = self._log_keys[: self._log_len]
+        # Distinct generation-0 keys spanning n - 1 versions are consecutive.
+        if (
+            log.size
+            and not self._bumped
+            and int(log[-1]) - int(log[0]) == (log.size - 1) << self._shift
+        ):
+            rows = keys - log[0]
+            np.maximum(rows, 0, out=rows)  # unknown entries read row 0
+            rows >>= self._shift
+        else:
+            rows = np.searchsorted(log, keys)
+        rows *= self.num_ranks
+        rows += sources
+        return self._log_values[replica].take(rows)
 
     def is_complete(self) -> bool:
         """True when every rank of every replica knows every value."""
@@ -830,62 +988,67 @@ class BatchGossipBoard(_PushBoard):
                 )
                 dst = np.broadcast_to(edges, (self.num_replicas, edges.size))
             if src.size:
-                # Versions are packed once for the whole batch ((version <<
-                # s) | edge index), and each replica merges inside its own
-                # (P, P) board -- small enough to stay cache-resident, which
-                # measures faster than one flattened (R*P, P) merge.
-                shift = max(1, int(src.shape[0] - 1).bit_length())
-                packed = np.left_shift(self._versions, shift)
-                entry = np.arange(num_ranks)
-                for rep in range(self.num_replicas):
-                    self._merge_replica(rep, src, dst[rep], packed[rep], shift, entry)
+                # Every replica's board is a block of rows of one (R*P, P)
+                # matrix, so one merge serves the whole batch.
+                self._merge(
+                    (src + self._row_offsets).reshape(-1),
+                    (dst + self._row_offsets).reshape(-1),
+                )
+        self._prune_log()
         self._steps += 1
 
-    def _merge_replica(
-        self,
-        rep: int,
-        src: np.ndarray,
-        dst: np.ndarray,
-        packed: np.ndarray,
-        shift: int,
-        entry: np.ndarray,
-    ) -> None:
-        """One replica's grouped freshest-version merge of a round's pushes.
+    def _merge(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """The freshest-version merge of one round's pushes, keys only.
 
-        Push ``e`` sends the pre-round view of rank ``src[e]`` to rank
-        ``dst[e]``.  Versions arrive pre-shifted (``packed``) and the key of
-        each pushed entry is ``(version << s) | push_index``, so a grouped
-        ``np.maximum.reduceat`` per receiver yields both the freshest
-        incoming version and a push that carries it (two bit operations to
-        unpack); entries whose version strictly increases take that push's
-        value.  Which of several equal-version pushes wins is immaterial:
-        copies of the same ``(source, version)`` pair hold the same value.
+        Push ``e`` sends the pre-round view of row ``src[e]`` of the stacked
+        ``(R * P, P)`` key matrix to row ``dst[e]``.  The pushes are
+        grouped by receiver, receivers with the most pushes first, so the
+        receivers of pass ``j`` -- those with more than ``j`` pushes -- are
+        a prefix, and the pass is one in-place ``np.maximum`` with each
+        one's ``j``-th pushed row.  Every pass reads the pre-round keys;
+        one row scatter writes the result.  A receiver adopts the largest
+        incoming key only where its version is strictly newer: its own keys
+        enter the final maximum with the tie bit set, which is cleared
+        again afterwards.  Besides the key matrix the round holds two
+        ``(receivers, P)`` int64 buffers.
         """
-        num_pushes = src.shape[0]
-        versions = self._versions[rep]
-        values = self._values[rep]
+        keys = self._keys.reshape(-1, self.num_ranks)
+        counts = np.bincount(dst, minlength=keys.shape[0])
+        pushers = src[np.argsort(dst, kind="stable")]
+        starts = np.cumsum(counts) - counts
+        receivers = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+        sizes = counts[receivers]
+        starts = starts[receivers]
+        best = keys.take(pushers[starts], axis=0)
+        pushed = np.empty_like(best)
+        # mode="clip" (the indices are valid) lets take write straight into out.
+        for j in range(1, int(sizes[0])):
+            n = int(np.count_nonzero(sizes > j))
+            keys.take(pushers[starts[:n] + j], axis=0, out=pushed[:n], mode="clip")
+            np.maximum(best[:n], pushed[:n], out=best[:n])
+        current = keys.take(receivers, axis=0, out=pushed, mode="clip")
+        current |= self._tie  # unknown (negative) keys stay negative
+        np.maximum(best, current, out=best)
+        best &= ~self._tie
+        keys[receivers] = best
 
-        order = np.argsort(dst, kind="stable")
-        dst_sorted = dst[order]
-        boundaries = np.empty(num_pushes, dtype=bool)
-        boundaries[0] = True
-        np.not_equal(dst_sorted[1:], dst_sorted[:-1], out=boundaries[1:])
-        group_starts = np.flatnonzero(boundaries)
-        receivers = dst_sorted[group_starts]
-        src_sorted = src[order]
+    def _prune_log(self) -> None:
+        """Drop the log rows no entry can hold any more.
 
-        keys = packed[src_sorted]
-        keys += np.arange(num_pushes, dtype=np.int64)[:, None]
-        best = np.maximum.reduceat(keys, group_starts, axis=0)
-        incoming_ver = best >> shift
-
-        current_ver = versions[receivers]
-        improved = incoming_ver > current_ver
-        if not improved.any():
-            return
-        # Gather only the winning pushes' values (still the pre-round state:
-        # nothing has been written yet).
-        winner = best & ((1 << shift) - 1)
-        incoming_val = values[src_sorted[winner], entry]
-        values[receivers] = np.where(improved, incoming_val, values[receivers])
-        versions[receivers] = np.where(improved, incoming_ver, current_ver)
+        Keys never decrease, and a round only spreads keys some rank held,
+        so rows below the smallest key held are dead for good.  Unknown
+        (negative) keys read as ``uint64`` above every known key.  A
+        log longer than ``P`` rows (or twice its size after the last
+        compaction) keeps only the rows some entry holds.
+        """
+        n = self._log_len
+        oldest = self._keys.view(np.uint64).min()
+        keep = slice(np.searchsorted(self._log_keys[:n].view(np.uint64), oldest), n)
+        if n - keep.start > self._log_limit:
+            keep = np.flatnonzero(np.isin(self._log_keys[:n], self._keys))
+            self._log_limit = max(self.num_ranks, 2 * keep.size)
+        kept = self._log_keys[keep]
+        if kept.size < n:
+            self._log_keys[: kept.size] = kept
+            self._log_values[:, : kept.size] = self._log_values[:, keep]
+            self._log_len = kept.size
