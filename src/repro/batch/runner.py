@@ -416,12 +416,10 @@ class BatchRunner:
     def _build_context(
         self, replica: int, iteration: int, stripe_loads: np.ndarray
     ) -> LBContext:
-        workloads = stripe_loads * self.applications[replica].flop_per_load_unit
         return LBContext(
             iteration=iteration,
-            # repro: noqa[FLOW-HOT] -- LBContext's contract is a tuple of Python floats; built once per LB decision, not per iteration
-            pe_workloads=tuple(workloads.tolist()),
-            wir_views=self.wir_db.replica(replica).views(),
+            pe_workloads=stripe_loads * self.applications[replica].flop_per_load_unit,
+            wir_views=self.wir_db.replica(replica).known_rows(),
             last_lb_iteration=int(self._last_lb_arr[replica]),
             accumulated_degradation=self.degradation.degradation_of(replica),
             average_lb_cost=self._average_lb_cost(replica),

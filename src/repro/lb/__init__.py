@@ -37,7 +37,6 @@ from repro.lb.base import (
     WorkloadPolicy,
 )
 from repro.lb.wir import (
-    LazyWIRViews,
     OverloadDetector,
     WIREstimate,
     WIREstimateArray,
@@ -73,7 +72,6 @@ __all__ = [
     "DynamicAlphaULBAPolicy",
     "LBContext",
     "LBDecision",
-    "LazyWIRViews",
     "LBStepReport",
     "MenonIntervalTrigger",
     "NeverTrigger",

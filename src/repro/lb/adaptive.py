@@ -15,10 +15,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from repro.lb.base import LBContext, TriggerPolicy
-from repro.lb.wir import LazyWIRViews, OverloadDetector
+from repro.lb.wir import OverloadDetector
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = [
@@ -73,10 +71,9 @@ class MenonIntervalTrigger(TriggerPolicy):
         self.minimum_interval = minimum_interval
 
     def _estimate_tau(self, context: LBContext) -> float:
-        view = context.wir_view_of(0)
-        if not view:
+        rates = context.wir_views.known_values(0).tolist()
+        if not rates:
             return math.inf
-        rates = list(view.values())
         mean_rate = sum(rates) / len(rates)
         m_hat = max(rates) - mean_rate
         if m_hat <= 0.0 or context.average_lb_cost <= 0.0:
@@ -146,16 +143,9 @@ class ULBADegradationTrigger(DegradationTrigger):
         """Eq. 11's ULBA overhead, ``alpha N / (P - N) * Wtot / (omega P)``.
 
         Only the *number* ``N`` of overloading PEs enters: count z-score
-        exceedances within rank 0's view, read as a compacted array from a
-        WIR database's lazy views (no dict) or in dict order from plain
-        per-rank views.  0 unless ``0 < N < P``.
+        exceedances within rank 0's view.  0 unless ``0 < N < P``.
         """
-        views = context.wir_views
-        if isinstance(views, LazyWIRViews):
-            rates = views.known_values(0)
-        else:
-            rates = np.fromiter(context.wir_view_of(0).values(), dtype=float)
-        n = self.detector.overloading_count(rates)
+        n = self.detector.overloading_count(context.wir_views.known_values(0))
         num_pes = context.num_pes
         if not 0 < n < num_pes:
             return 0.0

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.simcluster.gossip import KnownRows
+from repro.utils.validation import read_only
 
 __all__ = ["LBContext", "LBDecision", "WorkloadPolicy", "TriggerPolicy"]
 
@@ -38,16 +41,16 @@ class LBContext:
         Current application iteration.
     pe_workloads:
         Current workload of every PE, in FLOP (or any unit proportional to
-        compute time).
+        compute time), as a read-only float64 array (any sequence of
+        floats is copied into one).
     wir_views:
-        For every rank, the WIR values it currently knows (rank -> WIR), as
-        provided by the replicated WIR database.  In instant mode all views
-        are identical.  Any sequence of per-rank dictionaries is accepted;
-        the runtime passes a lazily materialized sequence
-        (:class:`repro.lb.wir.LazyWIRViews`) so per-rank dictionaries are
-        only built when a policy actually inspects them.  The sequence is
-        either empty (no rank knows anything) or holds exactly one view per
-        PE; any other length raises :class:`ValueError`.
+        What every rank currently knows of the replicated WIR database: one
+        :class:`~repro.simcluster.gossip.KnownRows` snapshot with one row
+        per PE (``known_values(rank)`` / ``known_sources(rank)``).  The
+        runtime takes it once per decision from the database's
+        :meth:`~repro.lb.wir.WIRDatabase.known_rows`; a context without WIR
+        knowledge holds ``KnownRows.from_views([{}] * P)``.  The name is
+        kept from when this was a sequence of per-rank dicts.
     last_lb_iteration:
         Iteration of the previous LB call (0 when none happened yet).
     accumulated_degradation:
@@ -65,8 +68,8 @@ class LBContext:
     """
 
     iteration: int
-    pe_workloads: Tuple[float, ...]
-    wir_views: Sequence[Dict[int, float]]
+    pe_workloads: np.ndarray
+    wir_views: KnownRows
     last_lb_iteration: int = 0
     accumulated_degradation: float = 0.0
     average_lb_cost: float = 0.0
@@ -74,21 +77,36 @@ class LBContext:
     total_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if len(self.wir_views) not in (0, self.num_pes):
+        workloads = np.array(self.pe_workloads, dtype=float)
+        if workloads.ndim != 1 or workloads.size == 0:
             raise ValueError(
-                f"wir_views must be empty or hold one view per PE "
-                f"({self.num_pes}), got {len(self.wir_views)}"
+                f"pe_workloads must be a non-empty row, got shape {workloads.shape}"
+            )
+        object.__setattr__(self, "pe_workloads", read_only(workloads))
+        if not isinstance(self.wir_views, KnownRows):
+            raise TypeError(
+                "wir_views must be a KnownRows snapshot (see "
+                f"KnownRows.from_views), got {type(self.wir_views).__name__}"
+            )
+        if len(self.wir_views) != self.num_pes:
+            raise ValueError(
+                f"wir_views must hold one row per PE ({self.num_pes}), "
+                f"got {len(self.wir_views)}"
             )
 
     @property
     def num_pes(self) -> int:
         """Number of PEs."""
-        return len(self.pe_workloads)
+        return self.pe_workloads.size
 
     @property
     def total_workload(self) -> float:
-        """Total workload across PEs (``Wtot(i)``)."""
-        return float(sum(self.pe_workloads))
+        """Total workload across PEs (``Wtot(i)``).
+
+        A left-to-right sum, bitwise Python's ``sum`` of the same floats
+        (``ndarray.sum`` sums pairwise).
+        """
+        return float(np.add.accumulate(self.pe_workloads)[-1])
 
     @property
     def iterations_since_lb(self) -> int:
@@ -101,12 +119,6 @@ class LBContext:
         if self.total_iterations is None:
             return None
         return max(0, self.total_iterations - self.iteration)
-
-    def wir_view_of(self, rank: int) -> Dict[int, float]:
-        """The WIR view of ``rank`` (empty dict when unknown)."""
-        if not 0 <= rank < self.num_pes:
-            raise ValueError(f"rank {rank} outside [0, {self.num_pes})")
-        return self.wir_views[rank] if len(self.wir_views) else {}
 
 
 @dataclass(frozen=True)

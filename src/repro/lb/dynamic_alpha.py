@@ -38,7 +38,7 @@ from repro.core.gains import best_alpha_for_instance
 from repro.core.intervals import menon_tau
 from repro.core.parameters import ApplicationParameters
 from repro.lb.base import LBContext, LBDecision, WorkloadPolicy
-from repro.lb.wir import OverloadDetector, known_rows_of
+from repro.lb.wir import OverloadDetector
 from repro.partitioning.weighted import target_shares_from_alphas
 from repro.utils.validation import check_fraction, check_positive, check_positive_int
 
@@ -148,28 +148,28 @@ class DynamicAlphaULBAPolicy(WorkloadPolicy):
     # Runtime -> analytical-model estimation.
     # ------------------------------------------------------------------
     def _estimate_model(
-        self, context: LBContext, overloading: Sequence[int]
+        self, context: LBContext, flags: np.ndarray
     ) -> Optional[ApplicationParameters]:
         """Condense the runtime state into an analytical instance.
 
-        Returns ``None`` when the estimates are degenerate (no imbalance
-        rate, no workload, or no LB cost measurement yet).
+        ``flags`` marks the overloading PEs; rank 0's view splits into their
+        rates and everyone else's.  Returns ``None`` when the estimates are
+        degenerate (no imbalance rate, no workload, or no LB cost
+        measurement yet).
         """
         num_pes = context.num_pes
-        num_over = len(overloading)
+        num_over = int(np.count_nonzero(flags))
         if num_over == 0 or num_over >= num_pes:
             return None
         total_workload = context.total_workload
         if total_workload <= 0.0 or context.average_lb_cost <= 0.0:
             return None
 
-        view = context.wir_view_of(0) or {}
-        if not view:
-            return None
-        over_set = set(overloading)
-        over_rates = [rate for rank, rate in view.items() if rank in over_set]
-        other_rates = [rate for rank, rate in view.items() if rank not in over_set]
-        if not over_rates or not other_rates:
+        rows = context.wir_views
+        rates = rows.known_values(0)
+        over = flags[rows.known_sources(0)]
+        over_rates, other_rates = rates[over], rates[~over]
+        if not over_rates.size or not other_rates.size:
             return None
 
         # Per-PE uniform rate `a` and extra rate `m` of the overloading PEs
@@ -224,16 +224,15 @@ class DynamicAlphaULBAPolicy(WorkloadPolicy):
         alpha = target * model.m * model.P / (model.W0 * factor)
         return float(min(self.max_alpha, max(0.0, alpha)))
 
-    def _choose_alpha(
-        self, context: LBContext, overloading: Sequence[int]
-    ) -> AlphaChoice:
+    def _choose_alpha(self, context: LBContext, flags: np.ndarray) -> AlphaChoice:
         """Pick the ``alpha`` for this LB step according to the strategy."""
-        model = self._estimate_model(context, overloading)
+        model = self._estimate_model(context, flags)
+        num_over = int(np.count_nonzero(flags))
         if model is None:
             choice = AlphaChoice(
                 iteration=context.iteration,
                 alpha=self.fallback_alpha,
-                num_overloading=len(overloading),
+                num_overloading=num_over,
                 model=None,
                 used_fallback=True,
             )
@@ -242,7 +241,7 @@ class DynamicAlphaULBAPolicy(WorkloadPolicy):
             choice = AlphaChoice(
                 iteration=context.iteration,
                 alpha=float(min(self.max_alpha, best_alpha)),
-                num_overloading=len(overloading),
+                num_overloading=num_over,
                 model=model,
                 used_fallback=False,
             )
@@ -250,7 +249,7 @@ class DynamicAlphaULBAPolicy(WorkloadPolicy):
             choice = AlphaChoice(
                 iteration=context.iteration,
                 alpha=self._interval_matched_alpha(model, context),
-                num_overloading=len(overloading),
+                num_overloading=num_over,
                 model=model,
                 used_fallback=False,
             )
@@ -263,7 +262,7 @@ class DynamicAlphaULBAPolicy(WorkloadPolicy):
     def decide(self, context: LBContext) -> LBDecision:
         """Detect the overloading PEs and underload them by a derived ``alpha``."""
         num_pes = context.num_pes
-        flags = self.detector.overloading_mask(known_rows_of(context.wir_views, num_pes))
+        flags = self.detector.overloading_mask(context.wir_views)
         overloading: List[int] = np.flatnonzero(flags).tolist()
 
         downgraded = False
@@ -280,7 +279,7 @@ class DynamicAlphaULBAPolicy(WorkloadPolicy):
                 policy=self.name,
             )
 
-        choice = self._choose_alpha(context, overloading)
+        choice = self._choose_alpha(context, flags)
         requested = np.zeros(num_pes, dtype=float)
         requested[list(overloading)] = choice.alpha
         if choice.alpha == 0.0:

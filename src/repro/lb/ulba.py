@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.lb.base import LBContext, LBDecision, WorkloadPolicy
-from repro.lb.wir import OverloadDetector, known_rows_of
+from repro.lb.wir import OverloadDetector
 from repro.partitioning.weighted import target_shares_from_alphas
 from repro.utils.validation import check_fraction
 
@@ -68,12 +68,9 @@ class ULBAPolicy(WorkloadPolicy):
         ``alpha`` requests (Algorithm 2).
         """
         num_pes = context.num_pes
-        # Two sources of the same rows, one evaluation: a WIR database's
-        # lazy views hand out its board's compacted rows, plain per-rank
-        # dict views (sequences handed in by tests) are packed in dict
-        # order.  The grouped row-wise rule then yields the floats of P
-        # per-rank z-score evaluations, bit for bit.
-        flags = self.detector.overloading_mask(known_rows_of(context.wir_views, num_pes))
+        # The grouped row-wise rule yields the floats of P per-rank z-score
+        # evaluations, bit for bit.
+        flags = self.detector.overloading_mask(context.wir_views)
         overloading = np.flatnonzero(flags).tolist()
         requested = np.zeros(num_pes, dtype=float)
         requested[flags] = self.alpha

@@ -19,9 +19,9 @@ Four pieces live here:
   of WIR values for ``R`` replicas, and the view of one replica (a
   standalone ``WIRDatabase`` is a batch of one), built on the gossip
   substrate (:mod:`repro.simcluster.gossip`) or fed directly when gossip is
-  not simulated.  A database is read per rank (:meth:`WIRDatabase.view`,
-  :meth:`WIRDatabase.known_values`) or all ranks at once
-  (:meth:`WIRDatabase.known_rows`).
+  not simulated.  Every producer -- dense board, sparse board, instant
+  database -- is read one way, :meth:`WIRDatabase.known_rows`, as one
+  :class:`~repro.simcluster.gossip.KnownRows` snapshot of every rank.
 * :class:`OverloadDetector` -- the z-score rule of Algorithm 1 (line 19),
   parameterized by its threshold and minimum population.
 """
@@ -29,8 +29,7 @@ Four pieces live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,16 +43,19 @@ from repro.simcluster.gossip import (
 from repro.utils.markers import hot_path
 from repro.utils.rng import SeedLike
 from repro.utils.stats import zscore
-from repro.utils.validation import check_fraction, check_positive, check_positive_int
+from repro.utils.validation import (
+    check_fraction,
+    check_positive,
+    check_positive_int,
+    read_only,
+)
 
 __all__ = [
     "BatchWIRDatabase",
-    "LazyWIRViews",
     "OverloadDetector",
     "WIRDatabase",
     "WIREstimate",
     "WIREstimateArray",
-    "known_rows_of",
 ]
 
 
@@ -211,77 +213,6 @@ class WIREstimateArray:
         return self._rates.copy()
 
 
-class LazyWIRViews:
-    """Lazily materialized per-rank WIR views (``Sequence[Dict[int, float]]``).
-
-    Building every rank's view dictionary eagerly costs ``O(P^2)`` dict
-    operations per iteration; trigger policies typically look at one view
-    (or none).  This sequence adapter materializes a rank's ``dict`` only on
-    first access and caches it, so the quadratic cost is paid only when a
-    policy actually inspects all views (i.e. at LB steps).
-    """
-
-    __slots__ = ("_db", "_cache")
-
-    def __init__(self, db: "WIRDatabase") -> None:
-        self._db = db
-        self._cache: Dict[int, Dict[int, float]] = {}
-
-    def __len__(self) -> int:
-        return self._db.num_ranks
-
-    def __getitem__(self, rank: int) -> Dict[int, float]:
-        if not 0 <= rank < self._db.num_ranks:
-            raise IndexError(f"rank {rank} outside [0, {self._db.num_ranks})")
-        view = self._cache.get(rank)
-        if view is None:
-            view = self._db.view(rank)
-            self._cache[rank] = view
-        return view
-
-    def __iter__(self):
-        return (self[rank] for rank in range(self._db.num_ranks))
-
-    # -- compacted fast path (same numbers as the dict views) -----------
-    def known_values(self, rank: int) -> np.ndarray:
-        """``rank``'s known WIRs in ascending source order (no dict).
-
-        Identical values, in identical order, to
-        ``list(self[rank].values())``, without materializing the dict.
-        """
-        return self._db.known_values(rank)
-
-    def known_rows(self) -> KnownRows:
-        """Every rank's known WIRs and own WIR at once (no dicts)."""
-        return self._db.known_rows()
-
-
-def known_rows_of(views: Sequence[Dict[int, float]], num_ranks: int) -> KnownRows:
-    """Every rank's known WIRs and own WIR, as :class:`KnownRows`.
-
-    :class:`LazyWIRViews` hand out their board's compacted rows.  Any other
-    sequence of per-rank dicts is packed in dict order, the order the
-    per-rank rule reads a dict view in; an empty sequence means no rank
-    knows anything (as in :meth:`repro.lb.base.LBContext.wir_view_of`).
-    """
-    if isinstance(views, LazyWIRViews):
-        return views.known_rows()
-    dicts = [views[rank] for rank in range(num_ranks)] if len(views) else [{}] * num_ranks
-    counts = np.array([len(view) for view in dicts], dtype=np.int64)
-    values = np.fromiter(
-        chain.from_iterable(view.values() for view in dicts),
-        dtype=float,
-        count=int(counts.sum()),
-    )
-    own = [view.get(rank) for rank, view in enumerate(dicts)]
-    return KnownRows(
-        values,
-        counts,
-        np.array([0.0 if rate is None else rate for rate in own], dtype=float),
-        np.array([rate is not None for rate in own], dtype=bool),
-    )
-
-
 class WIRDatabase:
     """Replicated ``rank -> WIR`` database of one run.
 
@@ -379,46 +310,22 @@ class WIRDatabase:
             )
         self._batch.disseminate()
 
-    def view(self, rank: int) -> Dict[int, float]:
-        """WIR values known by ``rank`` (may be partial in gossip mode)."""
-        if self._board is not None:
-            return self._board.local_view(rank)
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
-        known = np.flatnonzero(self._instant_known)
-        return {int(r): float(self._instant_values[r]) for r in known}
-
-    def views(self) -> LazyWIRViews:
-        """Lazily materialized sequence of every rank's view.
-
-        The returned object behaves like ``tuple(view(r) for r in ranks)``
-        but builds each rank's dictionary only on first access -- the hot
-        loop hands it to :class:`~repro.lb.base.LBContext` so the ``O(P^2)``
-        dict construction is only paid when a policy inspects the views.
-        """
-        return LazyWIRViews(self)
-
-    def known_values(self, rank: int) -> np.ndarray:
-        """``rank``'s known WIRs, compacted in ascending source order.
-
-        Same numbers as ``list(view(rank).values())`` without the dict.
-        """
-        if self._board is not None:
-            return self._board.known_values_row(rank)
-        if not 0 <= rank < self.num_ranks:
-            raise ValueError(f"rank {rank} outside [0, {self.num_ranks})")
-        return self._instant_values[self._instant_known]
-
     def known_rows(self) -> KnownRows:
-        """Every rank's :meth:`known_values` and own WIR at once.
+        """Every rank's known WIRs, their sources and own WIR at once.
 
-        In instant mode every rank's row is the one shared view, given once.
+        In instant mode every rank's row is the one shared view, given once,
+        and ``own`` / ``has_own`` are read-only views of the published state.
         """
         if self._board is not None:
             return self._board.known_rows()
-        row = self._instant_values[self._instant_known]
+        known = self._instant_known
+        row = self._instant_values[known]
         return KnownRows(
-            row, np.full(self.num_ranks, row.size), self._instant_values, self._instant_known
+            row,
+            np.flatnonzero(known),
+            np.full(self.num_ranks, row.size),
+            read_only(self._instant_values),
+            read_only(known),
         )
 
 
@@ -557,8 +464,8 @@ class OverloadDetector:
         group the values already are its matrix (no gather), and a shared
         row is evaluated once.
         """
-        values, counts, own, has_own = rows
-        eligible = has_own & (counts >= self.min_population)
+        values, counts, own = rows.values, rows.counts, rows.own
+        eligible = rows.has_own & (counts >= self.min_population)
         if eligible.all() and (counts == counts[0]).all():
             return self._group_flags(values.reshape(-1, counts[0]), own)
         if values.size == counts.sum():

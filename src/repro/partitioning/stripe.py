@@ -17,16 +17,12 @@ knows how to compute per-column workloads from its cell grid) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.partitioning.weighted import (
-    Partition1D,
-    partition_contiguous,
-    target_shares_from_alphas,
-)
-from repro.utils.validation import check_positive_int
+from repro.partitioning.weighted import Partition1D, partition_contiguous
+from repro.utils.validation import check_positive_int, read_only
 
 __all__ = ["StripePartition", "StripePartitioner"]
 
@@ -41,11 +37,12 @@ class StripePartition:
         The underlying contiguous 1-D partition of column indices.
     column_loads:
         Per-column workload used to build the partition (kept for
-        diagnostics and for migration-volume estimation).
+        diagnostics and for migration-volume estimation), a read-only
+        float64 array.
     """
 
     partition: Partition1D
-    column_loads: Tuple[float, ...]
+    column_loads: np.ndarray
 
     # ------------------------------------------------------------------
     @property
@@ -57,38 +54,6 @@ class StripePartition:
     def num_columns(self) -> int:
         """Number of domain columns."""
         return self.partition.num_items
-
-    def columns_of(self, rank: int) -> Tuple[int, int]:
-        """Half-open column range ``[start, stop)`` owned by ``rank``."""
-        return self.partition.part_range(rank)
-
-    def owner_of_column(self, column: int) -> int:
-        """Rank owning ``column``."""
-        return self.partition.owner_of(column)
-
-    def stripe_widths(self) -> np.ndarray:
-        """Number of columns per stripe."""
-        return self.partition.part_sizes()
-
-    def stripe_loads(self) -> np.ndarray:
-        """Workload per stripe according to ``column_loads``."""
-        loads = np.asarray(self.column_loads, dtype=float)
-        return np.asarray(
-            [
-                loads[start:stop].sum()
-                for start, stop in (
-                    self.partition.part_range(p) for p in range(self.num_pes)
-                )
-            ]
-        )
-
-    def imbalance(self) -> float:
-        """``max / mean - 1`` of the stripe loads."""
-        loads = self.stripe_loads()
-        mean = loads.mean()
-        if mean <= 0.0:
-            return 0.0
-        return float(loads.max() / mean - 1.0)
 
 
 class StripePartitioner:
@@ -115,26 +80,9 @@ class StripePartitioner:
 
         ``target_shares`` defaults to the even split (standard LB method).
         """
-        loads = np.asarray(column_loads, dtype=float)
+        loads = read_only(np.array(column_loads, dtype=float))
         part = partition_contiguous(loads, self.num_pes, target_shares)
-        return StripePartition(partition=part, column_loads=tuple(loads.tolist()))
-
-    def partition_with_alphas(
-        self, column_loads: Sequence[float], alphas: Sequence[float]
-    ) -> StripePartition:
-        """Partition columns according to per-PE ULBA ``alpha`` values.
-
-        This is exactly the weight computation of Algorithm 2 (lines 8-14)
-        followed by ``PartitionAccordingToWeights``.
-        """
-        alphas = list(alphas)
-        if len(alphas) != self.num_pes:
-            raise ValueError(
-                f"alphas must have one entry per PE ({self.num_pes}), got "
-                f"{len(alphas)}"
-            )
-        shares = target_shares_from_alphas(alphas)
-        return self.partition(column_loads, target_shares=shares)
+        return StripePartition(partition=part, column_loads=loads)
 
     def uniform_partition(self, num_columns: int) -> StripePartition:
         """Initial equal-width decomposition (one stripe per PE, same width).

@@ -77,12 +77,6 @@ class Partition1D:
         bounds = np.asarray(self.boundaries)
         return bounds[1:] - bounds[:-1]
 
-    def owner_of(self, item: int) -> int:
-        """Index of the part owning ``item``."""
-        if not 0 <= item < self.num_items:
-            raise ValueError(f"item {item} outside [0, {self.num_items})")
-        return int(np.searchsorted(np.asarray(self.boundaries), item, side="right") - 1)
-
     def owners(self) -> np.ndarray:
         """Array mapping every item index to its owning part."""
         return np.repeat(

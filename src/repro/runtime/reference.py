@@ -21,6 +21,11 @@ changes the random stream.  :class:`ReferenceGossipBoard` therefore supports
 both: by default it reproduces the historical per-rank draws, and with
 ``batched_targets=True`` it consumes the shared batched selection so that
 end-to-end runs are comparable draw-for-draw with the vectorized core.
+
+The loop still builds one dict view per rank, and
+``ReferenceIterativeRunner._build_context`` packs them with
+:meth:`~repro.simcluster.gossip.KnownRows.from_views` (dict order kept):
+that is the form :class:`~repro.lb.base.LBContext` takes.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from repro.partitioning.weighted import Partition1D
 from repro.runtime.skeleton import RunResult, StripedApplication
 from repro.simcluster.clock import synchronize
 from repro.simcluster.comm import CommCostModel, SimCommunicator
-from repro.simcluster.gossip import GossipConfig, select_push_targets
+from repro.simcluster.gossip import GossipConfig, KnownRows, select_push_targets
 from repro.simcluster.pe import ProcessingElement
 from repro.simcluster.tracing import ClusterTrace
 from repro.utils.rng import SeedLike, ensure_rng
@@ -535,8 +540,8 @@ class ReferenceIterativeRunner:
                 float(load * self.application.flop_per_load_unit)
                 for load in stripe_loads
             ),
-            wir_views=tuple(
-                self.wir_db.view(rank) for rank in range(self.cluster.size)
+            wir_views=KnownRows.from_views(
+                [self.wir_db.view(rank) for rank in range(self.cluster.size)]
             ),
             last_lb_iteration=self._last_lb_iteration,
             accumulated_degradation=self.degradation.degradation,

@@ -63,9 +63,9 @@ Two board implementations share those semantics:
   versions spread too far for 63 bits, their ranks among the round's
   distinct versions replace them (same order, fewer bits).
 
-Both boards are read the same way: :meth:`~GossipBoard.local_view` (one
-rank's dict), :meth:`~GossipBoard.known_values_row` (one rank's compacted
-values) and :meth:`~GossipBoard.known_rows` (every rank at once).
+Both boards are read one way: :meth:`~GossipBoard.known_rows` hands every
+rank's known values and their sources over as one :class:`KnownRows`
+snapshot, as the instant :class:`repro.lb.wir.WIRDatabase` does.
 :class:`repro.lb.wir.BatchWIRDatabase` selects the implementation from
 :attr:`GossipConfig.mode`.
 """
@@ -73,12 +73,13 @@ values) and :meth:`~GossipBoard.known_rows` (every rank at once).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, read_only
 
 __all__ = [
     "BatchGossipBoard",
@@ -162,24 +163,65 @@ class GossipConfig:
         return num_ranks * num_ranks * 16
 
 
-class KnownRows(NamedTuple):
-    """Every rank's known values, row after row (compressed sparse rows).
+@dataclass(frozen=True)
+class KnownRows:
+    """Every rank's known values and their sources, row after row.
 
-    Row ``r`` -- the values rank ``r`` knows, in ascending source order --
-    is ``values[start:start + counts[r]]`` with ``start = counts[:r].sum()``.
-    ``own[r]`` is the value ``r`` published for itself, meaningful only
-    where ``has_own[r]``.  A view that every rank shares (instant
-    dissemination) may be given once: ``values`` is then that one row and
-    every ``counts[r]`` its length.  The dense board gathers fresh arrays
-    from its publish log on every call; other producers (the sparse board's
-    ``own``, an instant WIR database) may share memory with their state:
-    read-only.
+    The one way WIR knowledge is read (compressed sparse rows).  Row ``r``
+    -- what rank ``r`` knows, in ascending source order -- is
+    ``values[start:start + counts[r]]`` with ``start = counts[:r].sum()``,
+    and ``sources`` names the rank each value came from.  ``own[r]`` is the
+    value ``r`` published for itself, meaningful only where ``has_own[r]``.
+
+    ``values`` and ``sources`` each come in one of two layouts, told apart
+    by size on their own: one entry per known value (``size ==
+    counts.sum()``), or one row that every rank shares (instant
+    dissemination, or the sources of a complete board), every
+    ``counts[r]`` then being its length.  Producers build fresh arrays or
+    read-only views of their state, so a snapshot is never written to.
     """
 
     values: np.ndarray
+    sources: np.ndarray
     counts: np.ndarray
     own: np.ndarray
     has_own: np.ndarray
+
+    def __len__(self) -> int:
+        """Number of ranks."""
+        return self.counts.size
+
+    def _row(self, array: np.ndarray, rank: int) -> np.ndarray:
+        if not 0 <= rank < self.counts.size:
+            raise ValueError(f"rank {rank} outside [0, {self.counts.size})")
+        if array.size != self.counts.sum():  # one shared row
+            return array
+        start = int(self.counts[:rank].sum())
+        return array[start : start + int(self.counts[rank])]
+
+    def known_values(self, rank: int) -> np.ndarray:
+        """The values ``rank`` knows, in ascending source order."""
+        return self._row(self.values, rank)
+
+    def known_sources(self, rank: int) -> np.ndarray:
+        """The source ranks of :meth:`known_values`, in the same order."""
+        return self._row(self.sources, rank)
+
+    @classmethod
+    def from_views(cls, views: Sequence[Mapping[int, float]]) -> "KnownRows":
+        """Pack one ``source -> value`` mapping per rank, in mapping order."""
+        counts = np.array([len(view) for view in views], dtype=np.int64)
+        total = int(counts.sum())
+        own = [view.get(rank) for rank, view in enumerate(views)]
+        return cls(
+            np.fromiter(
+                chain.from_iterable(view.values() for view in views), float, total
+            ),
+            np.fromiter(chain.from_iterable(views), np.int64, total),
+            counts,
+            np.array([0.0 if value is None else value for value in own], dtype=float),
+            np.array([value is not None for value in own], dtype=bool),
+        )
 
 
 def _random_push_targets(
@@ -433,40 +475,26 @@ class GossipBoard(_PushBoard):
             self._version(version),
         )
 
-    def local_view(self, rank: int) -> Dict[int, float]:
-        """The values rank ``rank`` currently knows, keyed by source rank."""
-        self._check_rank(rank)
-        known = np.flatnonzero(self._keys[rank] >= 0)
-        values = self._batch._logged(self._replica, self._keys[rank, known], known)
-        return dict(zip(known.tolist(), values.tolist()))
-
-    def known_values_row(self, rank: int) -> np.ndarray:
-        """The values ``rank`` knows, compacted in ascending source order.
-
-        Same numbers as ``local_view(rank).values()`` without building the
-        dictionary.
-        """
-        self._check_rank(rank)
-        known = np.flatnonzero(self._keys[rank] >= 0)
-        return self._batch._logged(self._replica, self._keys[rank, known], known)
-
     def known_rows(self) -> KnownRows:
-        """Every rank's :meth:`known_values_row` at once, as :class:`KnownRows`.
+        """Every rank's view, as :class:`KnownRows`.
 
         One gather of the whole ``(P, P)`` view from the publish log; an
-        incomplete board then drops its unknown entries.
+        incomplete board then drops its unknown entries.  A complete
+        board's sources are one shared row.
         """
         num_ranks = self.num_ranks
-        values = self._batch._logged(self._replica, self._keys, np.arange(num_ranks))
+        sources = np.arange(num_ranks)
+        values = self._batch._logged(self._replica, self._keys, sources)
         has_own = self._keys.diagonal() >= 0
         own = np.where(has_own, values.diagonal(), 0.0)
         if self.is_complete():
-            return KnownRows(
-                values.reshape(-1), np.full(num_ranks, num_ranks), own, has_own
-            )
+            counts = np.full(num_ranks, num_ranks)
+            return KnownRows(values.reshape(-1), sources, counts, own, has_own)
         known = self._keys >= 0
+        flat = known.reshape(-1)
         return KnownRows(
-            np.compress(known.reshape(-1), values.reshape(-1)),
+            np.compress(flat, values.reshape(-1)),
+            np.flatnonzero(flat) % num_ranks,
             np.count_nonzero(known, axis=1),
             own,
             has_own,
@@ -574,32 +602,12 @@ class SparseGossipBoard(_PushBoard):
         self._ver[mask, 0] = v
 
     # ------------------------------------------------------------------
-    def local_view(self, rank: int) -> Dict[int, float]:
-        """The values rank ``rank`` currently knows, keyed by source rank."""
-        self._check_rank(rank)
-        valid = np.flatnonzero(self._ver[rank] >= 0)
-        srcs = self._src[rank, valid]
-        vals = self._val[rank, valid]
-        order = np.argsort(srcs)
-        return {int(srcs[i]): float(vals[i]) for i in order}
-
-    def known_values_row(self, rank: int) -> np.ndarray:
-        """The values ``rank`` knows, compacted in ascending source order.
-
-        Same contract as :meth:`GossipBoard.known_values_row`; the slots
-        are stored by freshness, so a small sort by source restores the
-        canonical order.
-        """
-        self._check_rank(rank)
-        valid = self._ver[rank] >= 0
-        srcs = self._src[rank][valid]
-        return self._val[rank][valid][np.argsort(srcs)]
-
     def known_rows(self) -> KnownRows:
-        """Every rank's :meth:`known_values_row` at once, as :class:`KnownRows`.
+        """Every rank's view, as :class:`KnownRows`.
 
-        One row-wise sort of ``(source, slot)`` keys, unknown slots last,
-        restores the canonical order of every view.
+        The slots are stored by freshness; one row-wise sort of ``(source,
+        slot)`` keys, unknown slots last, restores the canonical order of
+        every view.  ``own`` is a read-only view of the own slots.
         """
         m = self.view_size
         known = self._ver >= 0
@@ -608,12 +616,14 @@ class SparseGossipBoard(_PushBoard):
         key = np.where(known, self._src, self.num_ranks) << slot_bits
         key |= np.arange(m)
         key.sort(axis=1)
+        filled = np.arange(m) < counts[:, None]
         values = np.take_along_axis(self._val, key & ((1 << slot_bits) - 1), axis=1)
         return KnownRows(
-            values[np.arange(m) < counts[:, None]],
+            values[filled],
+            key[filled] >> slot_bits,
             counts,
-            self._val[:, 0],
-            self._ver[:, 0] >= 0,
+            read_only(self._val[:, 0]),
+            known[:, 0],
         )
 
     def is_complete(self) -> bool:

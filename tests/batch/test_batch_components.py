@@ -18,6 +18,12 @@ from repro.simcluster.pe import PEStateArrays
 from repro.utils.stats import mean_confidence_interval
 
 
+def local_view(board, rank):
+    """What ``rank`` knows, as a ``source -> value`` dict, from ``known_rows``."""
+    rows = board.known_rows()
+    return dict(zip(rows.known_sources(rank).tolist(), rows.known_values(rank).tolist()))
+
+
 class TestBatchedPEState:
     def test_shapes_and_size(self):
         state = PEStateArrays(8, 1.0e9, replicas=3)
@@ -81,7 +87,7 @@ class TestBatchGossipBoard:
             batch.step()
         for r, board in enumerate(solos):
             for rank in range(num_ranks):
-                assert batch.replica(r).local_view(rank) == board.local_view(rank)
+                assert local_view(batch.replica(r), rank) == local_view(board, rank)
         assert batch.is_complete() == all(b.is_complete() for b in solos)
 
     def test_steps_counter_and_bounds(self):
@@ -92,7 +98,7 @@ class TestBatchGossipBoard:
         with pytest.raises(ValueError, match="replica"):
             batch.replica(2)
         with pytest.raises(ValueError, match="rank"):
-            batch.replica(0).local_view(4)
+            local_view(batch.replica(0), 4)
 
     def test_requires_replicas(self):
         with pytest.raises(ValueError, match="at least one replica"):
@@ -165,11 +171,12 @@ class TestBatchWIRDatabase:
         for r, db in enumerate(solos):
             facade = batch.replica(r)
             assert facade.num_ranks == num_ranks
+            rows, solo = facade.known_rows(), db.known_rows()
+            assert len(rows) == num_ranks
             for rank in range(num_ranks):
-                assert facade.view(rank) == db.view(rank)
-            views = facade.views()
-            assert len(views) == num_ranks
-            assert views[0] == db.view(0)
+                assert local_view(facade, rank) == local_view(db, rank)
+            for field in ("own", "has_own", "counts"):
+                assert np.array_equal(getattr(rows, field), getattr(solo, field))
 
     def test_bounds_checked(self):
         batch = BatchWIRDatabase(4, [0, 1], use_gossip=False)

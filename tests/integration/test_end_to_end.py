@@ -166,4 +166,4 @@ class TestSyntheticWorkloadPipeline:
         )
         result = runner.run(80)
         assert result.num_lb_calls >= 1
-        assert runner.partition.stripe_widths()[0] < 16
+        assert runner.partition.partition.part_sizes()[0] < 16

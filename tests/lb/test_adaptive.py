@@ -16,7 +16,7 @@ from repro.lb.adaptive import (
 )
 from repro.lb.base import LBContext
 from repro.lb.wir import BatchWIRDatabase, OverloadDetector
-from repro.simcluster.gossip import GossipConfig
+from repro.simcluster.gossip import GossipConfig, KnownRows
 
 
 def make_context(
@@ -37,7 +37,7 @@ def make_context(
     return LBContext(
         iteration=iteration,
         pe_workloads=tuple(workloads),
-        wir_views=tuple(dict(rates) for _ in range(num_pes)),
+        wir_views=KnownRows.from_views([rates] * num_pes),
         last_lb_iteration=last_lb,
         accumulated_degradation=degradation,
         average_lb_cost=lb_cost,
@@ -105,7 +105,7 @@ class TestMenonIntervalTrigger:
         ctx = LBContext(
             iteration=50,
             pe_workloads=(1.0,) * 4,
-            wir_views=tuple({} for _ in range(4)),
+            wir_views=KnownRows.from_views([{}] * 4),
             average_lb_cost=1.0,
         )
         assert not trigger.should_balance(ctx)
@@ -179,7 +179,7 @@ class TestULBADegradationTrigger:
         ctx = LBContext(
             iteration=10,
             pe_workloads=(1.0,) * 4,
-            wir_views=tuple({} for _ in range(4)),
+            wir_views=KnownRows.from_views([{}] * 4),
             average_lb_cost=2.0,
         )
         assert ULBADegradationTrigger(alpha=0.4).threshold(ctx) == pytest.approx(2.0)
@@ -210,7 +210,7 @@ class TestULBADegradationTrigger:
 
 
 class TestULBATriggerCountPaths:
-    """One Eq. 11 threshold from every source of rank 0's WIR view."""
+    """One Eq. 11 threshold from a producer's rows and from their dict form."""
 
     @given(
         num=st.integers(2, 40),
@@ -237,10 +237,11 @@ class TestULBATriggerCountPaths:
         outliers,
         data,
     ):
-        """The trigger's threshold on a database's lazy views (the engine's
-        input) equals the one on the same views as plain per-rank dicts (the
+        """The trigger's threshold on a database's own
+        :class:`KnownRows` (the engine's input) equals the one on the same
+        rows packed from per-rank dicts by ``KnownRows.from_views`` (the
         reference runner's input), bit for bit, on dense, sparse and instant
-        databases with partial views."""
+        databases with partial views; so do the rows themselves."""
         config = (
             GossipConfig(mode=mode, view_size=view_size) if mode != "instant" else None
         )
@@ -269,13 +270,24 @@ class TestULBATriggerCountPaths:
         def context(views):
             return LBContext(
                 iteration=5,
-                pe_workloads=tuple(workloads.tolist()),
+                pe_workloads=workloads,
                 wir_views=views,
                 average_lb_cost=lb_cost,
                 pe_speed=2.5e9,
             )
 
-        lazy = trigger.threshold(context(db.views()))
-        dicts = trigger.threshold(context(tuple(db.view(r) for r in range(num))))
-        assert lazy == dicts
-
+        rows = db.known_rows()
+        packed = KnownRows.from_views(
+            [
+                dict(zip(rows.known_sources(r).tolist(), rows.known_values(r).tolist()))
+                for r in range(num)
+            ]
+        )
+        for r in range(num):
+            for read in ("known_values", "known_sources"):
+                got, want = getattr(rows, read)(r), getattr(packed, read)(r)
+                assert got.tobytes() == want.tobytes()
+        for field in ("counts", "has_own"):
+            assert getattr(rows, field).tolist() == getattr(packed, field).tolist()
+        assert rows.own[rows.has_own].tobytes() == packed.own[packed.has_own].tobytes()
+        assert trigger.threshold(context(rows)) == trigger.threshold(context(packed))

@@ -8,6 +8,7 @@ from repro.core.parameters import ApplicationParameters
 from repro.lb.base import LBContext
 from repro.lb.dynamic_alpha import AlphaChoice, DynamicAlphaULBAPolicy
 from repro.lb.wir import OverloadDetector
+from repro.simcluster.gossip import KnownRows
 
 
 def make_context(
@@ -27,7 +28,7 @@ def make_context(
     return LBContext(
         iteration=iteration,
         pe_workloads=tuple(workloads),
-        wir_views=tuple(dict(rates) for _ in range(num_pes)),
+        wir_views=KnownRows.from_views([rates] * num_pes),
         last_lb_iteration=0,
         accumulated_degradation=0.0,
         average_lb_cost=lb_cost,
@@ -165,7 +166,7 @@ class TestDecision:
             assert decision.is_even
 
     def test_stale_views_without_own_rate(self):
-        views = tuple({} for _ in range(32))
+        views = KnownRows.from_views([{}] * 32)
         ctx = LBContext(
             iteration=5,
             pe_workloads=(1.0e6,) * 32,

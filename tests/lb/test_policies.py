@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from repro.lb.base import LBContext, LBDecision
 from repro.lb.standard import StandardPolicy
 from repro.lb.ulba import ULBAPolicy
 from repro.lb.wir import OverloadDetector
+from repro.simcluster.gossip import KnownRows
 
 
 def make_context(
@@ -27,7 +29,7 @@ def make_context(
         rates = {r: 1.0 for r in range(num_pes)}
     if workloads is None:
         workloads = [100.0] * num_pes
-    views = tuple(dict(rates) for _ in range(num_pes))
+    views = KnownRows.from_views([rates] * num_pes)
     return LBContext(
         iteration=iteration,
         pe_workloads=tuple(workloads),
@@ -45,23 +47,53 @@ class TestLBContext:
         assert ctx.num_pes == 4
         assert ctx.total_workload == pytest.approx(10.0)
         assert ctx.iterations_since_lb == 7
-
-    def test_wir_view_of(self):
-        ctx = make_context(4, rates={0: 1.0, 2: 5.0})
-        assert ctx.wir_view_of(1) == {0: 1.0, 2: 5.0}
+        assert ctx.pe_workloads.dtype == np.float64
         with pytest.raises(ValueError):
-            ctx.wir_view_of(9)
+            ctx.pe_workloads[0] = 0.0
+
+    def test_known_rows_per_rank(self):
+        ctx = make_context(4, rates={0: 1.0, 2: 5.0})
+        assert ctx.wir_views.known_values(1).tolist() == [1.0, 5.0]
+        assert ctx.wir_views.known_sources(1).tolist() == [0, 2]
+        with pytest.raises(ValueError):
+            ctx.wir_views.known_values(9)
 
     @pytest.mark.parametrize("num_views", [3, 5])
     def test_wrong_number_of_views_rejected(self, num_views):
-        views = tuple({0: 1.0} for _ in range(num_views))
-        with pytest.raises(ValueError, match="one view per PE"):
+        views = KnownRows.from_views([{0: 1.0}] * num_views)
+        with pytest.raises(ValueError, match="one row per PE"):
             LBContext(iteration=1, pe_workloads=(1.0,) * 4, wir_views=views)
 
     def test_no_views_or_one_per_pe_accepted(self):
-        for views in ((), tuple({} for _ in range(4))):
-            ctx = LBContext(iteration=1, pe_workloads=(1.0,) * 4, wir_views=views)
-            assert ctx.wir_view_of(3) == {}
+        for views in ([{}] * 4, [{0: 1.0}] * 4):
+            ctx = LBContext(
+                iteration=1,
+                pe_workloads=(1.0,) * 4,
+                wir_views=KnownRows.from_views(views),
+            )
+            assert ctx.wir_views.known_values(3).tolist() == list(views[3].values())
+
+    def test_per_rank_dicts_rejected(self):
+        """A sequence of per-rank dicts is no longer a WIR snapshot."""
+        with pytest.raises(TypeError, match="KnownRows"):
+            LBContext(iteration=1, pe_workloads=(1.0,) * 4, wir_views=({},) * 4)
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e300),
+            min_size=1,
+            max_size=600,
+        )
+    )
+    def test_property_total_workload_is_python_sum(self, workloads):
+        """``Wtot`` keeps the bits of Python's left-to-right ``sum`` (the
+        bound keeps 600 finite workloads from overflowing)."""
+        ctx = LBContext(
+            iteration=1,
+            pe_workloads=np.array(workloads),
+            wir_views=KnownRows.from_views([{}] * len(workloads)),
+        )
+        assert ctx.total_workload.hex() == sum(workloads).hex()
 
 
 class TestLBDecision:
@@ -134,7 +166,7 @@ class TestULBAPolicy:
     def test_unknown_own_rate_ignored(self):
         """Ranks whose own WIR is not yet in their view cannot request
         underloading."""
-        views = tuple({} for _ in range(16))
+        views = KnownRows.from_views([{}] * 16)
         ctx = LBContext(
             iteration=5,
             pe_workloads=(100.0,) * 16,
@@ -183,7 +215,7 @@ class TestULBAPolicy:
         ctx = LBContext(
             iteration=5,
             pe_workloads=(100.0,) * num_pes,
-            wir_views=tuple(views),
+            wir_views=KnownRows.from_views(views),
             average_lb_cost=1.0,
         )
         decision = ULBAPolicy(alpha=0.4).decide(ctx)

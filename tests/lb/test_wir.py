@@ -19,7 +19,6 @@ from repro.lb.wir import (
     WIREstimate,
     WIREstimateArray,
     _mean_std,
-    known_rows_of,
 )
 from repro.simcluster.gossip import GossipConfig, KnownRows
 
@@ -30,6 +29,7 @@ def matrix_rows(matrix):
     num = matrix.shape[0]
     return KnownRows(
         np.ascontiguousarray(matrix).reshape(-1),
+        np.arange(num),
         np.full(num, num),
         matrix.diagonal(),
         np.ones(num, dtype=bool),
@@ -40,7 +40,19 @@ def shared_rows(rates, num):
     """One view that ``num`` ranks share, given once (like instant mode):
     rank ``r``'s own rate is ``rates[r]``."""
     rates = np.asarray(rates, dtype=float)
-    return KnownRows(rates, np.full(num, rates.size), rates, np.ones(num, dtype=bool))
+    return KnownRows(
+        rates,
+        np.arange(rates.size),
+        np.full(num, rates.size),
+        rates,
+        np.ones(num, dtype=bool),
+    )
+
+
+def view(db, rank):
+    """What ``rank`` knows, as a ``source -> WIR`` dict, from ``known_rows``."""
+    rows = db.known_rows()
+    return dict(zip(rows.known_sources(rank).tolist(), rows.known_values(rank).tolist()))
 
 
 class TestWIREstimate:
@@ -118,7 +130,7 @@ class TestWIRDatabase:
         db = WIRDatabase(4, use_gossip=False)
         db.publish(1, 3.0)
         for rank in range(4):
-            assert db.view(rank) == {1: 3.0}
+            assert view(db, rank) == {1: 3.0}
         rows = db.known_rows()
         assert rows.own[1] == 3.0
         assert rows.has_own.tolist() == [False, True, False, False]
@@ -134,8 +146,8 @@ class TestWIRDatabase:
         db = WIRDatabase(8, use_gossip=True, seed=0)
         db.publish(0, 5.0)
         # Before dissemination only rank 0 knows its value.
-        assert db.view(0) == {0: 5.0}
-        assert all(db.view(r) == {} for r in range(1, 8))
+        assert view(db, 0) == {0: 5.0}
+        assert all(view(db, r) == {} for r in range(1, 8))
 
     def test_gossip_dissemination_converges(self):
         db = WIRDatabase(8, use_gossip=True, seed=1)
@@ -145,19 +157,40 @@ class TestWIRDatabase:
             db.disseminate()
         assert db.known_rows().counts.tolist() == [8] * 8
         for rank in range(8):
-            assert db.view(rank) == {r: float(r) for r in range(8)}
+            assert view(db, rank) == {r: float(r) for r in range(8)}
 
     def test_disseminate_noop_in_instant_mode(self):
         db = WIRDatabase(2, use_gossip=False)
         db.publish(0, 1.0)
         db.disseminate()  # must not raise
-        assert db.view(1) == {0: 1.0}
+        assert view(db, 1) == {0: 1.0}
 
     def test_values_list(self):
         db = WIRDatabase(3, use_gossip=False)
         db.publish(0, 1.0)
         db.publish(2, 3.0)
-        assert db.known_values(1).tolist() == [1.0, 3.0]
+        rows = db.known_rows()
+        assert rows.known_values(1).tolist() == [1.0, 3.0]
+        assert rows.known_sources(1).tolist() == [0, 2]
+
+    def test_instant_rows_are_read_only(self):
+        db = WIRDatabase(3, use_gossip=False)
+        db.publish_all(np.asarray([1.0, 2.0, 3.0]))
+        rows = db.known_rows()
+        for array in (rows.own, rows.has_own):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+
+    def test_publish_all_matches_per_rank_publish(self):
+        a = WIRDatabase(4, use_gossip=False)
+        b = WIRDatabase(4, use_gossip=False)
+        values = np.asarray([1.0, 2.0, 3.0, 4.0])
+        a.publish_all(values)
+        for rank in range(4):
+            b.publish(rank, float(values[rank]))
+        assert all(view(a, r) == view(b, r) for r in range(4))
+        with pytest.raises(ValueError):
+            a.publish_all(np.zeros(3))
 
     def test_invalid_rank(self):
         db = WIRDatabase(2, use_gossip=False)
@@ -214,7 +247,7 @@ class TestOverloadDetector:
     def test_overloading_ranks_sorted(self):
         detector = OverloadDetector(threshold=1.0)
         rates_by_rank = {5: 10.0, 1: 10.0, 3: 0.0, 0: 0.0, 2: 0.0, 4: 0.0}
-        rows = known_rows_of([rates_by_rank] * 6, 6)
+        rows = KnownRows.from_views([rates_by_rank] * 6)
         assert np.flatnonzero(detector.overloading_mask(rows)).tolist() == [1, 5]
         rates = np.fromiter(rates_by_rank.values(), dtype=float)
         assert detector.overloading_count(rates) == 2
@@ -290,9 +323,9 @@ def per_rank_flags(detector, db):
     """The per-rank rule, one ``is_overloading`` call per rank that knows itself."""
     flags = []
     for rank in range(db.num_ranks):
-        view = db.view(rank)
+        known = view(db, rank)
         flags.append(
-            rank in view and detector.is_overloading(view[rank], list(view.values()))
+            rank in known and detector.is_overloading(known[rank], list(known.values()))
         )
     return flags
 
@@ -325,10 +358,10 @@ class TestGroupedOverloadRule:
             db.publish(rank, rates[rank])
         for _ in range(rounds):
             db.disseminate()
-        dicts = [db.view(rank) for rank in range(num)]
+        dicts = [view(db, rank) for rank in range(num)]
         detector = OverloadDetector(threshold=threshold, min_population=min_population)
         expected = per_rank_flags(detector, db)
-        for rows in (db.known_rows(), known_rows_of(dicts, num)):
+        for rows in (db.known_rows(), KnownRows.from_views(dicts)):
             assert rows.counts.tolist() == [len(view) for view in dicts]
             assert detector.overloading_mask(rows).tolist() == expected
 
@@ -362,7 +395,7 @@ class TestGroupedOverloadRule:
 
     def test_groups_below_min_population_never_flag(self):
         views = [{0: 100.0, 1: 0.0}, {0: 100.0, 1: 0.0, 2: 0.0}, {2: 9.0}]
-        rows = known_rows_of(views, 3)
+        rows = KnownRows.from_views(views)
         assert rows.counts.tolist() == [2, 3, 1]
         assert OverloadDetector(threshold=0.5, min_population=3).overloading_mask(
             rows
@@ -373,7 +406,7 @@ class TestGroupedOverloadRule:
 
     def test_constant_rows_never_flag(self):
         views = [{0: 1.0, 1: 1.0, 2: 1.0}] * 3
-        flags = OverloadDetector(threshold=1e-9).overloading_mask(known_rows_of(views, 3))
+        flags = OverloadDetector(threshold=1e-9).overloading_mask(KnownRows.from_views(views))
         assert flags.tolist() == [False, False, False]
 
     def test_zero_std_rows_never_flag(self):
@@ -383,10 +416,10 @@ class TestGroupedOverloadRule:
         assert np.std(list(views[0].values())) == 0.0
         expected = [detector.is_overloading(view[r], list(view.values())) for r, view in enumerate(views)]
         assert expected == [False, False]
-        assert detector.overloading_mask(known_rows_of(views, 2)).tolist() == expected
+        assert detector.overloading_mask(KnownRows.from_views(views)).tolist() == expected
 
     def test_empty_views_flag_nothing(self):
-        flags = OverloadDetector().overloading_mask(known_rows_of((), 4))
+        flags = OverloadDetector().overloading_mask(KnownRows.from_views([{}] * 4))
         assert flags.tolist() == [False] * 4
 
 
@@ -429,39 +462,6 @@ class TestWIREstimateArray:
             array.observe(np.asarray([[1.0, 1.0, 1.0, -1.0]]))
         with pytest.raises(ValueError):
             array.reset_replica_after_migration(0, np.asarray([-1.0, 0.0, 0.0, 0.0]))
-
-
-class TestLazyWIRViews:
-    def test_behaves_like_view_tuple(self):
-        from repro.lb.wir import LazyWIRViews
-
-        db = WIRDatabase(3, use_gossip=False)
-        db.publish(0, 1.0)
-        db.publish(2, 5.0)
-        views = LazyWIRViews(db)
-        assert len(views) == 3
-        assert views[0] == {0: 1.0, 2: 5.0}
-        assert list(views) == [db.view(r) for r in range(3)]
-        with pytest.raises(IndexError):
-            views[3]
-
-    def test_caches_materialized_views(self):
-        db = WIRDatabase(2, use_gossip=False)
-        db.publish(0, 1.0)
-        views = db.views()
-        first = views[0]
-        assert views[0] is first
-
-    def test_publish_all_matches_per_rank_publish(self):
-        a = WIRDatabase(4, use_gossip=False)
-        b = WIRDatabase(4, use_gossip=False)
-        values = np.asarray([1.0, 2.0, 3.0, 4.0])
-        a.publish_all(values)
-        for rank in range(4):
-            b.publish(rank, float(values[rank]))
-        assert all(a.view(r) == b.view(r) for r in range(4))
-        with pytest.raises(ValueError):
-            a.publish_all(np.zeros(3))
 
 
 class TestOverloadMaskImports:

@@ -10,6 +10,7 @@ sparse databases.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -30,7 +31,7 @@ from repro.lb.wir import BatchWIRDatabase, WIRDatabase
 from repro.runtime.skeleton import IterativeRunner, initial_lb_cost_prior
 from repro.runtime.synthetic import SyntheticGrowthApplication
 from repro.simcluster.cluster import VirtualCluster
-from repro.simcluster.gossip import GossipConfig, SparseGossipBoard
+from repro.simcluster.gossip import GossipConfig, KnownRows, SparseGossipBoard
 
 SPARSE = GossipConfig(mode="sparse", view_size=6, fanout=2)
 
@@ -46,13 +47,16 @@ class TestSparseWIRDatabase:
         db = make_db()
         for _ in range(10):
             db.disseminate()
+        rows = db.known_rows()
         for rank in range(16):
-            view = db.view(rank)
-            assert 1 <= len(view) <= SPARSE.view_size
-            # known_values matches the dict view in ascending source order.
-            expected = [view[src] for src in sorted(view)]
-            assert db.known_values(rank).tolist() == expected
-        assert db.known_rows().counts.tolist() == [len(db.view(r)) for r in range(16)]
+            sources = rows.known_sources(rank)
+            assert 1 <= sources.size <= SPARSE.view_size
+            # Every view is in ascending source order, its own rate included.
+            assert sources.tolist() == sorted(set(sources.tolist()))
+            assert rank in sources.tolist()
+            # Every rank published its own rank as its WIR.
+            assert rows.known_values(rank).tolist() == sources.astype(float).tolist()
+        assert rows.counts.tolist() == [rows.known_sources(r).size for r in range(16)]
 
     def test_own_rate_always_known(self):
         db = make_db()
@@ -83,8 +87,8 @@ class TestSparseWIRDatabase:
         policy, _ = make_policy_pair("ulba")
         context = LBContext(
             iteration=5,
-            pe_workloads=tuple(np.ones(num).tolist()),
-            wir_views=db.views(),
+            pe_workloads=np.ones(num),
+            wir_views=db.known_rows(),
             last_lb_iteration=0,
             accumulated_degradation=0.0,
             average_lb_cost=1.0,
@@ -100,8 +104,8 @@ class TestSparseWIRDatabase:
         _, trigger = make_policy_pair("ulba")
         context = LBContext(
             iteration=3,
-            pe_workloads=tuple(np.ones(16).tolist()),
-            wir_views=db.views(),
+            pe_workloads=np.ones(16),
+            wir_views=db.known_rows(),
             last_lb_iteration=0,
             accumulated_degradation=10.0,
             average_lb_cost=0.1,
@@ -124,14 +128,11 @@ class TestBatchSparseDatabase:
             for solo in solos:
                 solo.disseminate()
         for r, solo in enumerate(solos):
-            replica = batch.replica(r)
-            for rank in range(num):
-                assert replica.view(rank) == solo.view(rank)
-                assert np.array_equal(
-                    replica.known_values(rank), solo.known_values(rank)
-                )
-            for left, right in zip(replica.known_rows(), solo.known_rows()):
-                assert left.tobytes() == right.tobytes()
+            left, right = batch.replica(r).known_rows(), solo.known_rows()
+            for field in dataclasses.fields(KnownRows):
+                assert getattr(left, field.name).tobytes() == getattr(
+                    right, field.name
+                ).tobytes()
 
     @pytest.mark.parametrize("topology", ["ring", "hypercube"])
     def test_dense_batch_honours_deterministic_topologies(self, topology):
@@ -154,18 +155,21 @@ class TestBatchSparseDatabase:
             for solo in solos:
                 solo.disseminate()
         for r, solo in enumerate(solos):
-            for rank in range(num):
-                assert batch.replica(r).view(rank) == solo.view(rank)
+            left, right = batch.replica(r).known_rows(), solo.known_rows()
+            for field in dataclasses.fields(KnownRows):
+                assert np.array_equal(getattr(left, field.name), getattr(right, field.name))
 
-    def test_replica_facade_serves_lazy_views(self):
+    def test_replica_facade_serves_known_rows(self):
         batch = BatchWIRDatabase(8, [0, 1], gossip_config=SPARSE)
         batch.publish_all(np.ones((2, 8)))
         batch.disseminate()
-        views = batch.replica(1).views()
-        rows = views.known_rows()
+        rows = batch.replica(1).known_rows()
+        assert len(rows) == 8
         assert rows.has_own.all() and rows.own.tolist() == [1.0] * 8
-        assert rows.counts.tolist() == [len(view) for view in views]
-        assert len(views[0]) >= 1
+        assert rows.values.size == rows.sources.size == rows.counts.sum()
+        assert rows.known_values(0).size >= 1
+        with pytest.raises(ValueError):
+            rows.own[0] = 2.0  # a read-only view of the board's own slots
 
 
 class TestRunnerWithSparseGossip:

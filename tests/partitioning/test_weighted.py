@@ -38,17 +38,7 @@ class TestPartition1D:
 
     def test_owner_of(self):
         p = Partition1D(boundaries=(0, 3, 5, 10))
-        assert p.owner_of(0) == 0
-        assert p.owner_of(2) == 0
-        assert p.owner_of(3) == 1
-        assert p.owner_of(9) == 2
-
-    def test_owner_of_out_of_range(self):
-        p = Partition1D(boundaries=(0, 2, 4))
-        with pytest.raises(ValueError):
-            p.owner_of(4)
-        with pytest.raises(ValueError):
-            p.owner_of(-1)
+        assert p.owners()[[0, 2, 3, 9]].tolist() == [0, 0, 1, 2]
 
     def test_part_range_out_of_range(self):
         p = Partition1D(boundaries=(0, 2, 4))
@@ -56,11 +46,12 @@ class TestPartition1D:
             p.part_range(2)
 
     def test_owners_matches_owner_of(self):
-        p = Partition1D(boundaries=(0, 3, 5, 10))
+        """Item ``i`` belongs to the last part starting at or before it."""
+        p = Partition1D(boundaries=(0, 3, 5, 5, 10))
         owners = p.owners()
         assert owners.shape == (10,)
-        for item in range(10):
-            assert owners[item] == p.owner_of(item)
+        expected = np.searchsorted(p.boundaries, np.arange(10), side="right") - 1
+        assert owners.tolist() == expected.tolist()
 
 
 class TestTargetSharesFromAlphas:

@@ -81,7 +81,7 @@ class TestIterativeRunner:
         runner.run(15)
         assert runner.partition.partition.boundaries != initial_boundaries
         # The hot stripe (columns 0-3) shrinks below the uniform width.
-        assert runner.partition.stripe_widths()[0] < 16
+        assert runner.partition.partition.part_sizes()[0] < 16
 
     def test_degradation_trigger_balances_imbalanced_app(self):
         cluster = VirtualCluster(4)

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcluster.gossip import GossipBoard, GossipConfig
+from repro.simcluster.gossip import GossipBoard, GossipConfig, KnownRows
+
+
+def local_view(board, rank):
+    """What ``rank`` knows, as a ``source -> value`` dict, from ``known_rows``."""
+    rows = board.known_rows()
+    return dict(zip(rows.known_sources(rank).tolist(), rows.known_values(rank).tolist()))
 
 
 class TestGossipConfig:
@@ -21,31 +28,83 @@ class TestGossipConfig:
             GossipConfig(fanout=0)
 
 
+class TestKnownRows:
+    def test_from_views_keeps_each_mapping_order(self):
+        rows = KnownRows.from_views([{2: 1.0, 0: 3.0}, {}, {2: 5.0}])
+        assert len(rows) == 3
+        assert rows.counts.tolist() == [2, 0, 1]
+        assert rows.known_sources(0).tolist() == [2, 0]
+        assert rows.known_values(0).tolist() == [1.0, 3.0]
+        assert rows.known_values(1).size == 0
+        assert rows.known_sources(2).tolist() == [2]
+        assert rows.has_own.tolist() == [True, False, True]
+        assert rows.own.tolist() == [3.0, 0.0, 5.0]
+
+    def test_each_array_picks_its_layout(self):
+        """Shared values with per-entry sources, and the other way round."""
+        counts = np.array([2, 2])
+        shared = KnownRows(
+            np.array([4.0, 6.0]),
+            np.array([0, 1, 1, 0]),
+            counts,
+            np.array([4.0, 6.0]),
+            np.ones(2, dtype=bool),
+        )
+        assert shared.known_values(1).tolist() == [4.0, 6.0]
+        assert shared.known_sources(1).tolist() == [1, 0]
+        per_entry = KnownRows(
+            np.array([1.0, 2.0, 3.0, 4.0]),
+            np.array([0, 1]),
+            counts,
+            np.array([1.0, 4.0]),
+            np.ones(2, dtype=bool),
+        )
+        assert per_entry.known_values(1).tolist() == [3.0, 4.0]
+        assert per_entry.known_sources(1).tolist() == [0, 1]
+
+    def test_rank_checked(self):
+        rows = KnownRows.from_views([{}] * 2)
+        for rank in (-1, 2):
+            with pytest.raises(ValueError):
+                rows.known_values(rank)
+
+    def test_complete_dense_board_shares_its_sources(self):
+        board = GossipBoard(5, seed=0)
+        board.publish_all(np.arange(5.0))
+        board.run_until_complete()
+        rows = board.known_rows()
+        assert rows.sources.tolist() == list(range(5))
+        assert rows.values.size == 25
+        for rank in range(5):
+            assert rows.known_sources(rank).tolist() == list(range(5))
+            assert rows.known_values(rank).tolist() == list(np.arange(5.0))
+
+
 class TestGossipBoard:
     def test_publish_and_local_view(self):
         board = GossipBoard(4, seed=0)
         board.publish(2, 7.5)
-        assert board.local_view(2) == {2: 7.5}
-        assert board.local_view(0) == {}
+        assert local_view(board, 2) == {2: 7.5}
+        assert local_view(board, 0) == {}
 
     def test_publish_overwrites_with_newer_version(self):
         board = GossipBoard(2, seed=0)
         board.publish(0, 1.0)
         board.publish(0, 2.0)
-        assert board.local_view(0)[0] == 2.0
+        assert local_view(board, 0)[0] == 2.0
 
     def test_publish_ignores_stale_version(self):
         board = GossipBoard(2, seed=0)
         board.publish(0, 1.0, version=10)
         board.publish(0, 2.0, version=3)
-        assert board.local_view(0)[0] == 1.0
+        assert local_view(board, 0)[0] == 1.0
 
     def test_invalid_rank(self):
         board = GossipBoard(2, seed=0)
         with pytest.raises(ValueError):
             board.publish(2, 1.0)
         with pytest.raises(ValueError):
-            board.local_view(-1)
+            local_view(board, -1)
 
     def test_known_fraction(self):
         board = GossipBoard(4, seed=0)
@@ -64,9 +123,9 @@ class TestGossipBoard:
         board = GossipBoard(8, config=GossipConfig(fanout=3), seed=1)
         for rank in range(8):
             board.publish(rank, float(rank))
-        before = sum(len(board.local_view(r)) for r in range(8))
+        before = sum(len(local_view(board, r)) for r in range(8))
         board.step()
-        after = sum(len(board.local_view(r)) for r in range(8))
+        after = sum(len(local_view(board, r)) for r in range(8))
         assert after > before
 
     def test_values_never_corrupted(self):
@@ -75,7 +134,7 @@ class TestGossipBoard:
             board.publish(rank, rank * 10.0)
         board.run_until_complete()
         for rank in range(6):
-            view = board.local_view(rank)
+            view = local_view(board, rank)
             assert view == {r: r * 10.0 for r in range(6)}
 
     def test_run_until_complete_returns_rounds(self):
@@ -107,7 +166,7 @@ class TestGossipBoard:
             for rank in range(10):
                 board.publish(rank, float(rank))
             board.step()
-            return [board.local_view(r) for r in range(10)]
+            return [local_view(board, r) for r in range(10)]
 
         assert run(9) == run(9)
 
@@ -121,7 +180,7 @@ class TestGossipBoard:
         board.publish(3, 99.0)
         for _ in range(30):
             board.step()
-        assert all(board.local_view(r)[3] == 99.0 for r in range(8))
+        assert all(local_view(board, r)[3] == 99.0 for r in range(8))
 
     @settings(max_examples=15)
     @given(
@@ -139,7 +198,7 @@ class TestGossipBoard:
         for _ in range(5):
             board.step()
         for rank in range(num_ranks):
-            view = board.local_view(rank)
+            view = local_view(board, rank)
             assert set(view).issubset(set(published))
             for src, value in view.items():
                 assert value == published[src]
@@ -152,7 +211,7 @@ class TestVersionTieBreakRule:
         board = GossipBoard(2, seed=0)
         board.publish(0, 1.0, version=10)
         board.publish(0, 2.0, version=10)
-        assert board.local_view(0)[0] == 2.0
+        assert local_view(board, 0)[0] == 2.0
 
     def test_merge_keeps_existing_on_equal_version(self):
         # P=2, fanout=1: each rank always pushes to the other, so the
@@ -160,14 +219,14 @@ class TestVersionTieBreakRule:
         board = GossipBoard(2, config=GossipConfig(fanout=1), seed=0)
         board.publish(0, 1.0, version=10)
         board.step()
-        assert board.local_view(1)[0] == 1.0
+        assert local_view(board, 1)[0] == 1.0
         # Rank 0 re-publishes at the same version: locally the self-publish
         # wins the tie, but the merged copy held by rank 1 is not replaced
         # by an equal-version push.
         board.publish(0, 2.0, version=10)
-        assert board.local_view(0)[0] == 2.0
+        assert local_view(board, 0)[0] == 2.0
         board.step()
-        assert board.local_view(1)[0] == 1.0
+        assert local_view(board, 1)[0] == 1.0
 
     def test_merge_overwrites_on_strictly_newer_version(self):
         board = GossipBoard(2, config=GossipConfig(fanout=1), seed=0)
@@ -175,19 +234,19 @@ class TestVersionTieBreakRule:
         board.step()
         board.publish(0, 2.0, version=11)
         board.step()
-        assert board.local_view(1)[0] == 2.0
+        assert local_view(board, 1)[0] == 2.0
 
     def test_merge_never_regresses_to_older_version(self):
         board = GossipBoard(2, config=GossipConfig(fanout=1), seed=0)
         board.publish(1, 5.0, version=20)
         board.step()
-        assert board.local_view(0)[1] == 5.0
+        assert local_view(board, 0)[1] == 5.0
         # An older copy arriving later must not replace the fresher value;
         # rank 1's own entry is fresher, so pushes cannot regress rank 0.
         board.publish(1, 6.0, version=3)
-        assert board.local_view(1)[1] == 5.0
+        assert local_view(board, 1)[1] == 5.0
         board.step()
-        assert board.local_view(0)[1] == 5.0
+        assert local_view(board, 0)[1] == 5.0
 
 
 class TestPublishAll:
@@ -200,7 +259,7 @@ class TestPublishAll:
         a.publish_all(values)
         for rank in range(5):
             b.publish(rank, float(values[rank]))
-        assert all(a.local_view(r) == b.local_view(r) for r in range(5))
+        assert all(local_view(a, r) == local_view(b, r) for r in range(5))
 
     def test_respects_existing_newer_versions(self):
         import numpy as np
@@ -208,9 +267,9 @@ class TestPublishAll:
         board = GossipBoard(3, seed=0)
         board.publish(1, 42.0, version=99)
         board.publish_all(np.asarray([1.0, 2.0, 3.0]))
-        assert board.local_view(0)[0] == 1.0
-        assert board.local_view(1)[1] == 42.0  # version 99 > step count 0
-        assert board.local_view(2)[2] == 3.0
+        assert local_view(board, 0)[0] == 1.0
+        assert local_view(board, 1)[1] == 42.0  # version 99 > step count 0
+        assert local_view(board, 2)[2] == 3.0
 
     def test_wrong_length_rejected(self):
         import numpy as np
@@ -304,7 +363,7 @@ class TestVectorizedAgainstReferenceBoard:
                 fast.step()
                 slow.step()
                 for r in range(num_ranks):
-                    assert fast.local_view(r) == slow.local_view(r)
+                    assert local_view(fast, r) == slow.local_view(r)
 
     def test_negative_explicit_version_rejected(self):
         board = GossipBoard(2, seed=0)

@@ -100,13 +100,11 @@ class ValueMatrixBoard:
         known = np.flatnonzero(self._versions[rep, rank] >= 0)
         return {int(s): float(self._values[rep, rank, s]) for s in known}
 
-    def known_values_row(self, rep, rank):
-        return self._values[rep, rank][self._versions[rep, rank] >= 0]
-
     def known_rows(self, rep):
         known = self._versions[rep] >= 0
         return KnownRows(
             self._values[rep][known],
+            np.nonzero(known)[1],
             np.count_nonzero(known, axis=1),
             self._values[rep].diagonal(),
             self._versions[rep].diagonal() >= 0,
@@ -121,16 +119,21 @@ class ValueMatrixBoard:
         return held[rank] == version and np.count_nonzero(held == version) > 1
 
 
+def local_view(board, rank):
+    """What ``rank`` knows, as a ``source -> value`` dict, from ``known_rows``."""
+    rows = board.known_rows()
+    return dict(zip(rows.known_sources(rank).tolist(), rows.known_values(rank).tolist()))
+
+
 def assert_same_reads(board: BatchGossipBoard, oracle: ValueMatrixBoard) -> None:
     for rep in range(board.num_replicas):
         view = board.replica(rep)
-        for rank in range(board.num_ranks):
-            assert view.local_view(rank) == oracle.local_view(rep, rank)
-            assert np.array_equal(
-                view.known_values_row(rank), oracle.known_values_row(rep, rank)
-            )
         got, want = view.known_rows(), oracle.known_rows(rep)
-        for field in KnownRows._fields:
+        for rank in range(board.num_ranks):
+            expected = oracle.local_view(rep, rank)
+            assert got.known_sources(rank).tolist() == list(expected)
+            assert got.known_values(rank).tolist() == list(expected.values())
+        for field in ("values", "counts", "own", "has_own"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         assert view.is_complete() == oracle.is_complete(rep)
     assert board.is_complete() == all(
@@ -245,13 +248,13 @@ class TestConflictingCopies:
         )
         board.publish(0, 1.0, version=10)
         board.step()
-        assert board.local_view(1) == {0: 1.0}
+        assert local_view(board, 1) == {0: 1.0}
         # The version-10 copy has spread, so the re-publish is a new
         # generation: rank 2 receives both copies in one round and adopts
         # the latest re-publish, while rank 1 keeps its equal-version copy.
         board.publish(0, 2.0, version=10)
         board.step()
-        assert [board.local_view(r).get(0) for r in range(3)] == [2.0, 1.0, 2.0]
+        assert [local_view(board, r).get(0) for r in range(3)] == [2.0, 1.0, 2.0]
 
     def test_republish_before_a_step_overwrites_in_place(self):
         # An unspread copy needs no new generation, so any number of
@@ -260,7 +263,7 @@ class TestConflictingCopies:
         for value in range(300):
             board.publish(0, float(value), version=7)
         board.step()
-        assert board.local_view(1) == {0: 299.0}
+        assert local_view(board, 1) == {0: 299.0}
         assert board._batch._log_len == 1
 
 
@@ -272,7 +275,7 @@ class TestRepresentableVersions:
         board = GossipBoard(num_ranks, config=GossipConfig(fanout=1), seed=0)
         board.publish(0, 1.0, version=2 ** (62 - gen_bits) - 1)
         board.step()
-        holders = [r for r in range(num_ranks) if board.local_view(r) == {0: 1.0}]
+        holders = [r for r in range(num_ranks) if local_view(board, r) == {0: 1.0}]
         assert len(holders) == 2
 
     @pytest.mark.parametrize("num_ranks, version", [(2, 2**62), (2, 2**61), (256, 2**54)])
@@ -282,7 +285,7 @@ class TestRepresentableVersions:
             board.publish(0, 1.0, version=version)
         with pytest.raises(ValueError):
             board.publish_all(np.zeros(num_ranks), version=version)
-        assert board.local_view(0) == {}
+        assert local_view(board, 0) == {}
 
 
 class TestPublishLogBounded:
@@ -341,4 +344,4 @@ class TestPublishLogBounded:
                 board.publish(rank, float(t))
             board.step()
             assert board._batch._log_len <= 2 * num_ranks
-        assert all(board.local_view(r)[0] == 1.0 for r in range(num_ranks))
+        assert all(local_view(board, r)[0] == 1.0 for r in range(num_ranks))
